@@ -10,6 +10,8 @@ hypercall, trapped by dom0's Linux and forwarded into the hypervisor.
 
 from __future__ import annotations
 
+import inspect
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -235,6 +237,13 @@ class UserComponent:
                     )
 
 
+def _owner_callback(callback):
+    """A zero-argument getter for ``callback``, weak for bound methods."""
+    if inspect.ismethod(callback):
+        return weakref.WeakMethod(callback)
+    return lambda: callback
+
+
 class SystemComponent:
     """Counter access and migration execution (inside Xen in the port).
 
@@ -250,6 +259,11 @@ class SystemComponent:
             page array, returns per-page nodes with -1 for unmapped (or
             None when batch resolution is unavailable, falling back to
             the scalar walk).
+
+    Callbacks that are bound methods are held weakly: their object (a
+    Carrefour policy, the Linux NUMA mode) owns this component through
+    its engine, and a strong reference back would leave every finished
+    world in a reference cycle that only the cyclic collector frees.
     """
 
     OWNER = "carrefour"
@@ -262,13 +276,25 @@ class SystemComponent:
         placement_many=None,
     ):
         self.counters = counters
-        self.placement = placement
-        self.apply_fn = apply_fn
-        self.placement_many = placement_many
+        self._placement = _owner_callback(placement)
+        self._apply_fn = _owner_callback(apply_fn)
+        self._placement_many = _owner_callback(placement_many)
         reg = obs.registry()
         self._total_applied = reg.counter("carrefour.applied")
         self._total_commands = reg.counter("carrefour.commands")
         counters.claim(self.OWNER)
+
+    @property
+    def placement(self) -> PlacementFn:
+        return self._placement()
+
+    @property
+    def apply_fn(self) -> Callable[[PageDecision], bool]:
+        return self._apply_fn()
+
+    @property
+    def placement_many(self):
+        return self._placement_many()
 
     @property
     def total_applied(self) -> int:
@@ -291,9 +317,10 @@ class SystemComponent:
     def apply(self, decisions: Sequence[PageDecision]) -> int:
         """Execute a command batch from the user component."""
         applied = 0
+        apply_fn = self.apply_fn
         for decision in decisions:
             self.total_commands += 1
-            if self.apply_fn(decision):
+            if apply_fn(decision):
                 applied += 1
         self.total_applied += applied
         return applied

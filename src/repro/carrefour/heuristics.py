@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.hardware.counters import HotPageSample
+from repro.hardware.counters import HotPageSample, HotPageSamples
 
 
 class Action(enum.Enum):
@@ -55,8 +55,16 @@ def sample_arrays(hot_pages: Sequence[HotPageSample]):
 
     The vectorized decide path works on these instead of per-sample
     attribute access: returns ``(pages, domains, accesses, write_fraction)``
-    where ``accesses`` is the (num_samples, num_nodes) count matrix.
+    where ``accesses`` is the (num_samples, num_nodes) count matrix. A
+    columnar :class:`HotPageSamples` hands back its own (frozen) arrays.
     """
+    if isinstance(hot_pages, HotPageSamples):
+        return (
+            hot_pages.pages,
+            hot_pages.domains,
+            hot_pages.accesses,
+            hot_pages.write_fraction,
+        )
     n = len(hot_pages)
     pages = np.fromiter((s.page for s in hot_pages), dtype=np.int64, count=n)
     domains = np.fromiter(

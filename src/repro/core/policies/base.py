@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,14 +89,15 @@ class EpochObservation:
         controller_rho: per-node memory controller utilisation.
         max_link_rho: utilisation of the most loaded interconnect link.
         hot_pages: sampled hot pages with per-node access profiles
-            (page ids are gpfns in hypervisor mode).
+            (page ids are gpfns in hypervisor mode); the engine hands a
+            columnar :class:`~repro.hardware.counters.HotPageSamples`.
     """
 
     epoch_seconds: float
     access_matrix: np.ndarray
     controller_rho: np.ndarray
     max_link_rho: float
-    hot_pages: List[HotPageSample] = field(default_factory=list)
+    hot_pages: Sequence[HotPageSample] = field(default_factory=list)
 
     @property
     def total_accesses(self) -> float:

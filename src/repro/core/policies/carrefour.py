@@ -10,7 +10,8 @@ and migrates pages through the internal interface; the user component
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import weakref
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +51,9 @@ class CarrefourPolicy(NumaPolicy):
         self.base = base
         self.internal = internal
         self.name = f"{base.name}/carrefour"
-        self._current_domain: Optional[Domain] = None
+        # The domain of the running iteration, held weakly: the domain
+        # owns this policy (``numa_policy``).
+        self._current_domain: Callable[[], Optional[Domain]] = lambda: None
         system = SystemComponent(
             counters=internal.machine.counters,
             placement=self._placement,
@@ -97,7 +100,7 @@ class CarrefourPolicy(NumaPolicy):
 
     def on_epoch(self, domain: Domain, observation: EpochObservation) -> float:
         """Run one Carrefour iteration; returns the overhead in seconds."""
-        self._current_domain = domain
+        self._current_domain = weakref.ref(domain)
         result = self.engine.run_iteration(observation)
         cost = self.engine.iteration_cost_seconds(result)
         cost += self.internal.take_migration_seconds()
@@ -118,17 +121,20 @@ class CarrefourPolicy(NumaPolicy):
     # System component callbacks
 
     def _placement(self, page: int) -> Optional[int]:
-        if self._current_domain is None:
+        domain = self._current_domain()
+        if domain is None:
             return None
-        return self.internal.node_of_gpfn(self._current_domain, page)
+        return self.internal.node_of_gpfn(domain, page)
 
     def _placement_many(self, pages) -> Optional[np.ndarray]:
-        if self._current_domain is None:
+        domain = self._current_domain()
+        if domain is None:
             return None
-        return self.internal.nodes_of_gpfns(self._current_domain, pages)
+        return self.internal.nodes_of_gpfns(domain, pages)
 
     def _apply_decision(self, decision: PageDecision) -> bool:
-        if self._current_domain is None:
+        domain = self._current_domain()
+        if domain is None:
             return False
         # The port discards replication (section 3.4): treat a replicate
         # decision as a no-op if one slips through with replication off.
@@ -136,6 +142,4 @@ class CarrefourPolicy(NumaPolicy):
 
         if decision.action is Action.REPLICATE:
             return False
-        return self.internal.migrate_page(
-            self._current_domain, decision.page, decision.dst_node
-        )
+        return self.internal.migrate_page(domain, decision.page, decision.dst_node)

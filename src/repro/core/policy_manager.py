@@ -15,6 +15,7 @@ Implements the external interface's semantics (paper section 4.2):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -51,7 +52,11 @@ class PolicyManager:
         rng: Optional[np.random.Generator] = None,
     ):
         self.internal = internal
-        self.hypercalls = hypercalls
+        # Weak: the table holds this manager's handlers, and the manager
+        # owns the domains whose Carrefour engines dispatch through the
+        # table — strong references both ways would make every hypervisor
+        # a reference cycle that only the cyclic collector frees.
+        self._hypercalls = weakref.ref(hypercalls)
         self.carrefour_config = carrefour_config or CarrefourConfig()
         self.rng = rng or np.random.default_rng(
             internal.machine.config.rng_seed
@@ -198,8 +203,10 @@ class PolicyManager:
         if spec.carrefour:
             # Carrefour's user component runs in dom0 and its command
             # batches enter the hypervisor through CARREFOUR_CONTROL.
+            hypercalls = self._hypercalls
+
             def command_channel(decisions, _domid=domain_id):
-                return self.hypercalls.dispatch(
+                return hypercalls().dispatch(
                     Hypercall.CARREFOUR_CONTROL,
                     0,
                     0,

@@ -5,7 +5,7 @@ from repro.hardware.memory import MachineMemory, MemoryController
 from repro.hardware.interconnect import Interconnect
 from repro.hardware.cache import CacheHierarchy, CacheLevel, HitProfile
 from repro.hardware.latency import LatencyModel
-from repro.hardware.counters import PerfCounters, HotPageSample
+from repro.hardware.counters import PerfCounters, HotPageSample, HotPageSamples
 from repro.hardware.iommu import Iommu
 from repro.hardware.machine import Machine
 from repro.hardware.presets import amd48
@@ -22,6 +22,7 @@ __all__ = [
     "LatencyModel",
     "PerfCounters",
     "HotPageSample",
+    "HotPageSamples",
     "Iommu",
     "Machine",
     "amd48",

@@ -757,8 +757,12 @@ class XenEnvironment(Environment):
             host=host,
         )
 
+        # The closure reads the run list, not the world: a world holding a
+        # closure over itself is a reference cycle, and a finished world
+        # must be freed by refcount, not left to the cyclic collector.
+        # Cluster migrations move runs by mutating this same list.
         def teardown():
-            for run in world.runs:
+            for run in runs:
                 run.context.teardown()
 
         world.teardown = teardown

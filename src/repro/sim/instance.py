@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.config import SimConfig
 from repro.core.policies.base import EpochObservation
-from repro.hardware.counters import HotPageSample
+from repro.hardware.counters import HotPageSample, HotPageSamples
 from repro.sim.calibration import OpModel
 from repro.sim.placement import SegmentPlacement
 from repro.sim.results import EpochRecord, RunResult
@@ -358,7 +358,7 @@ class AppRun:
         traffic. The engine separately archives the run's private link
         *contribution* in its :class:`~repro.sim.results.EpochRecord`.
         """
-        hot_pages: List[HotPageSample] = []
+        hot_pages: Sequence[HotPageSample] = []
         if self.context.policy_is_dynamic:
             hot_pages = self._sample_hot_pages(ops_by_node)
         return EpochObservation(
@@ -369,49 +369,59 @@ class AppRun:
             hot_pages=hot_pages,
         )
 
-    def _sample_hot_pages(self, ops_by_node: np.ndarray) -> List[HotPageSample]:
-        """Per-page samples as IBS would report them.
+    def _sample_hot_pages(self, ops_by_node: np.ndarray) -> HotPageSamples:
+        """Per-page samples as IBS would report them, built as columns.
 
         Shared pages: sources follow the per-node operation counts; the
         hottest pages are sampled deterministically, the uniform tail at
         random. Private pages: the owner is the only source — except
         during a *burst*, when a remote node transiently hammers them
         (the behaviour that misleads Carrefour on "low" applications).
+
+        Samples come out in a fixed order (shared segments, then private
+        segments by thread) and the RNG is drawn exactly as a per-sample
+        walk would draw it; only the per-sample arithmetic is batched.
         """
-        samples: List[HotPageSample] = []
         share = self.app.master_share
-        total_shared_ops = float(ops_by_node.sum()) * share
-        domain_id = self.context.domain_id
+        total_ops = float(ops_by_node.sum())
         num_nodes = len(ops_by_node)
-        src_dist = ops_by_node / max(ops_by_node.sum(), 1.0)
+        # Column pieces, seeded empty so a run with nothing sampled
+        # still concatenates to well-shaped columns.
+        pages = [np.zeros(0, dtype=np.int64)]
+        accesses = [np.zeros((0, num_nodes), dtype=np.int64)]
+        write_fraction = [np.zeros(0)]
+
+        # Shared segments: counts = round(page_ops * src_dist), clipped at
+        # zero; a row that rounds to nothing charges its whole (at least
+        # one) access to the busiest source node.
+        total_shared_ops = total_ops * share
+        src_dist = ops_by_node / max(total_ops, 1.0)
+        busiest = int(np.argmax(src_dist))
         for seg in self.shared_segments:
-            weights = seg.page_weights
             count = min(SAMPLES_SHARED, seg.num_pages)
             hot_n = min(count // 2, seg.num_pages)
-            indices = list(range(hot_n))
+            indices = np.arange(hot_n, dtype=np.int64)
             if seg.num_pages > hot_n:
                 extra = self.rng.integers(
                     hot_n, seg.num_pages, size=count - hot_n
                 )
-                indices.extend(int(i) for i in extra)
-            for idx in indices:
-                key = int(seg.keys[idx])
-                if key < 0:
-                    continue
-                page_ops = total_shared_ops * float(weights[idx])
-                counts = np.maximum(
-                    0, np.round(src_dist * page_ops)
-                ).astype(np.int64)
-                if counts.sum() == 0:
-                    counts[int(np.argmax(src_dist))] = max(1, int(page_ops))
-                samples.append(
-                    HotPageSample(
-                        page=key,
-                        domain_id=domain_id,
-                        node_accesses=tuple(int(c) for c in counts),
-                        write_fraction=seg.definition.spec.write_fraction,
-                    )
-                )
+                indices = np.concatenate((indices, extra))
+            keys = seg.keys[indices]
+            mapped = keys >= 0
+            page_ops = total_shared_ops * seg.page_weights[indices[mapped]]
+            counts = np.maximum(
+                0, np.round(np.outer(page_ops, src_dist))
+            ).astype(np.int64)
+            empty = counts.sum(axis=1) == 0
+            counts[empty, busiest] = np.maximum(
+                1, page_ops[empty].astype(np.int64)
+            )
+            pages.append(keys[mapped])
+            accesses.append(counts)
+            write_fraction.append(
+                np.full(len(counts), float(seg.definition.spec.write_fraction))
+            )
+
         # Private segments: owner-only sources, plus transient bursts.
         burst = self.rng.random() < self.app.burst_noise
         burst_tids = set()
@@ -420,6 +430,9 @@ class AppRun:
             burst_tids = set(
                 int(t) for t in self.rng.choice(self.num_threads, size=k, replace=False)
             )
+        private_keys: List[np.ndarray] = []
+        sources: List[int] = []
+        amounts: List[int] = []
         for t in self.threads:
             if t.finished:
                 continue
@@ -427,7 +440,7 @@ class AppRun:
             if seg is None:
                 continue
             per_page_ops = (
-                float(ops_by_node.sum())
+                total_ops
                 * (1.0 - share)
                 / max(1, self.num_threads)
                 / seg.num_pages
@@ -436,18 +449,29 @@ class AppRun:
             if t.tid in burst_tids:
                 source = int(self.rng.integers(num_nodes))
             count = min(SAMPLES_PRIVATE_PER_THREAD, seg.num_pages)
-            for idx in self.rng.integers(0, seg.num_pages, size=count):
-                key = int(seg.keys[int(idx)])
-                if key < 0:
-                    continue
-                counts = [0] * num_nodes
-                counts[source] = max(1, int(per_page_ops))
-                samples.append(
-                    HotPageSample(
-                        page=key,
-                        domain_id=domain_id,
-                        node_accesses=tuple(counts),
-                        write_fraction=0.5,
-                    )
-                )
-        return samples
+            private_keys.append(
+                seg.keys[self.rng.integers(0, seg.num_pages, size=count)]
+            )
+            sources.append(source)
+            amounts.append(max(1, int(per_page_ops)))
+        if private_keys:
+            per_thread = [len(k) for k in private_keys]
+            keys = np.concatenate(private_keys)
+            counts = np.zeros((keys.size, num_nodes), dtype=np.int64)
+            counts[np.arange(keys.size), np.repeat(sources, per_thread)] = (
+                np.repeat(amounts, per_thread)
+            )
+            mapped = keys >= 0
+            pages.append(keys[mapped])
+            accesses.append(counts[mapped])
+            write_fraction.append(np.full(int(mapped.sum()), 0.5))
+
+        page_column = np.concatenate(pages)
+        return HotPageSamples(
+            pages=page_column,
+            domains=np.full(
+                page_column.size, self.context.domain_id, dtype=np.int64
+            ),
+            accesses=np.concatenate(accesses),
+            write_fraction=np.concatenate(write_fraction),
+        )
