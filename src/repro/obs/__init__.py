@@ -23,7 +23,10 @@ number. Activate collection with::
 
 Sessions are process-local by design: worker processes of a parallel
 runner would each collect into their own (discarded) session, which is
-why the experiment CLI forces ``--jobs 1`` while tracing.
+why the experiment CLI forces ``--jobs 1`` while tracing. A worker
+forked while a session is active inherits a copy of it; pool
+initializers call :func:`drop_inherited_session` so such workers run
+with observability off instead of collecting into a copy nobody reads.
 
 Determinism: timestamps are simulated seconds driven by the engine
 (never the wall clock — RPR002 applies to this package like any other),
@@ -65,6 +68,7 @@ __all__ = [
     "Tracer",
     "active",
     "build_payload",
+    "drop_inherited_session",
     "dump_payload",
     "enabled",
     "registry",
@@ -130,6 +134,16 @@ def tracer() -> Union[Tracer, NullTracer]:
     """The active session's tracer, or the shared no-op tracer."""
     sess = _SLOT.session
     return sess.tracer if sess is not None else NULL_TRACER
+
+
+def drop_inherited_session() -> None:
+    """Deactivate the session a forked process inherited from its parent.
+
+    The parent's session object is untouched (the child only held a
+    copy); the child runs on with the disabled registry and the no-op
+    tracer, as if it had started without a session.
+    """
+    _SLOT.session = None
 
 
 @contextmanager

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.config import SimConfig
-from repro.core.multirun import run_worlds, scalar_multirun
+from repro.core.multirun import run_worlds
 from repro.hardware.presets import amd48
 from repro.hypervisor.domain import Domain
 from repro.perfbench import oracle
@@ -41,7 +41,7 @@ MICROBENCH_TRAFFIC = 3e7
 #: phrased over a 16-world sweep).
 MULTI_RUN_WORLDS = 16
 #: timeit repetitions of the multi-run comparison (each sample simulates
-#: the full sweep twice — serial then batched — so this stays small).
+#: the full sweep twice — once per leg — so this stays small).
 DEFAULT_MULTI_RUN_REPEAT = 3
 #: Four-VM consolidation mixes cycled across the sweep's worlds: the
 #: paper's Table 2 shape (several VMs sharing one host), and the shape
@@ -228,47 +228,46 @@ def bench_multi_run(
     (four 6-vCPU VMs per world, app mixes and policies cycling, one
     seed per world) twice over fresh worlds: once through
     :func:`repro.core.multirun.run_worlds` and once world-by-world
-    under :func:`~repro.core.multirun.scalar_multirun` — the committed
-    scalar oracle, i.e. exactly what a sweep driver without the batched
-    engine would execute. World building is untimed in both legs.
+    through :func:`~repro.perfbench.oracle.reference_run_world` — the
+    committed per-run loop, i.e. exactly what a sweep driver without
+    the batched engine would execute. The two legs of a sample run back
+    to back and alternate which goes first, so drift on a shared host
+    lands on both. World building is untimed in both legs.
     ``results_match`` checks the full report output of every sample is
     byte-identical between the legs (sorted-key JSON of every
     ``RunResult``).
     """
-    batched_samples: List[float] = []
-    serial_samples: List[float] = []
+    legs = {
+        "batched": run_worlds,
+        "serial": lambda worlds: [oracle.reference_run_world(w) for w in worlds],
+    }
+    samples: Dict[str, List[float]] = {"batched": [], "serial": []}
     matches = True
-    for _ in range(max(1, repeat)):
+    for index in range(max(1, repeat)):
         requests = _multi_run_requests(config, num_worlds)
-        worlds = [build_request_world(r) for r in requests]
-        holder: Dict[str, object] = {}
+        order = ("batched", "serial") if index % 2 == 0 else ("serial", "batched")
+        produced: Dict[str, str] = {}
+        for name in order:
+            worlds = [build_request_world(r) for r in requests]
+            holder: List[List] = []
 
-        def batched() -> None:
-            holder["batched"] = run_worlds(worlds)
+            def leg(name: str = name, worlds: List = worlds) -> None:
+                holder.extend(legs[name](worlds))
 
-        batched_samples.append(timeit.Timer(batched).timeit(number=1))
-        serial_worlds = [build_request_world(r) for r in requests]
-
-        def serial() -> None:
-            with scalar_multirun():
-                holder["serial"] = [run_world(w) for w in serial_worlds]
-
-        serial_samples.append(timeit.Timer(serial).timeit(number=1))
-        matches = matches and json.dumps(
-            [[r.to_json() for r in group] for group in holder["batched"]],
-            sort_keys=True,
-        ) == json.dumps(
-            [[r.to_json() for r in group] for group in holder["serial"]],
-            sort_keys=True,
-        )
-    batched_min = float(np.min(batched_samples))
-    serial_min = float(np.min(serial_samples))
+            samples[name].append(timeit.Timer(leg).timeit(number=1))
+            produced[name] = json.dumps(
+                [[r.to_json() for r in group] for group in holder],
+                sort_keys=True,
+            )
+        matches = matches and produced["batched"] == produced["serial"]
+    batched_min = float(np.min(samples["batched"]))
+    serial_min = float(np.min(samples["serial"]))
     return {
         "num_worlds": float(num_worlds),
         "vms_per_world": float(len(MULTI_RUN_APP_MIXES[0])),
         "repeat": float(max(1, repeat)),
-        "batched_median_seconds": float(np.median(batched_samples)),
-        "serial_median_seconds": float(np.median(serial_samples)),
+        "batched_median_seconds": float(np.median(samples["batched"])),
+        "serial_median_seconds": float(np.median(samples["serial"])),
         "batched_min_seconds": batched_min,
         "serial_min_seconds": serial_min,
         # Fastest-over-fastest, like the solver and migration sections:

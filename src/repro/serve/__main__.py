@@ -12,9 +12,11 @@ stop it with ``--shutdown`` (graceful: every admitted job drains first).
 
 The whole process runs inside one :func:`repro.obs.session`, so the
 ``metrics`` protocol op snapshots a live registry — store hit/miss
-cells, per-runner execution counters from the worker pool, and the
-``serve.*`` admission/drain counters — in the validated trace-payload
-shape.
+cells, per-runner execution counters of in-process (``--inline``)
+execution, and the ``serve.*`` admission/drain counters — in the
+validated trace-payload shape. Pool worker processes drop the session
+they inherit (:func:`repro.obs.drop_inherited_session`) and run
+untraced.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Sequence
 
+from repro import obs
 from repro.errors import ServeError
 from repro.runner.runner import Runner
 from repro.runstore.memory import MemoryRunStore
@@ -86,7 +87,14 @@ class ProcessBackend(ExecutionBackend):
 
     def __init__(self, max_workers: int) -> None:
         self.max_workers = max(1, int(max_workers))
-        self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        self._pool = self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        # Forked workers would inherit the server's observability
+        # session and keep recording into a copy nobody reads.
+        return ProcessPoolExecutor(
+            max_workers=self.max_workers, initializer=obs.drop_inherited_session
+        )
 
     async def execute(
         self, requests: Sequence[RunRequest], batch_worlds: int
@@ -101,7 +109,7 @@ class ProcessBackend(ExecutionBackend):
 
     async def reset(self) -> None:
         old = self._pool
-        self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        self._pool = self._new_pool()
         old.shutdown(wait=False, cancel_futures=True)
 
     async def close(self) -> None:

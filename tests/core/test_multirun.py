@@ -12,14 +12,13 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.config import SimConfig
 from repro.core.multirun import (
     BatchOutcome,
     execute_batch,
     group_signature,
-    multirun_enabled,
     run_worlds,
-    scalar_multirun,
 )
 from repro.errors import MultiRunError
 from repro.runner import Runner, execute_request
@@ -168,25 +167,23 @@ class TestBatchedParity:
         assert outcome.fallback_runs == 2
         assert dumps(outcome.results) == dumps(serial)
 
-    def test_scalar_multirun_is_the_oracle(self):
+    def test_tracing_keeps_the_batched_path(self):
+        """An observability session no longer forces serial execution:
+        the traced batch still groups, and its results are byte-identical
+        to untraced serial execution."""
         requests = [
             xen_req("swaptions", "round-4k"),
-            xen_req("ep.D", "first-touch"),
+            xen_req("streamcluster", "round-4k", carrefour=True),
+            xen_req("ep.D", "first-touch", seed=7),
         ]
-        with scalar_multirun():
-            assert not multirun_enabled()
-            outcome = execute_batch(requests, 2)
-        assert multirun_enabled()
-        assert outcome.batched_runs == 0
-        assert dumps(outcome.results) == dumps(
-            [execute_request(r) for r in requests]
-        )
-
-    def test_scalar_multirun_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with scalar_multirun():
-                raise RuntimeError("boom")
-        assert multirun_enabled()
+        serial = [execute_request(r) for r in requests]
+        with obs.session() as sess:
+            outcome = execute_batch(requests, 3)
+        assert outcome.batched_runs > 0
+        assert dumps(outcome.results) == dumps(serial)
+        solves = [e for e in sess.tracer.events if e["name"] == "epoch.solve"]
+        assert solves
+        assert obs.validate_payload(sess.payload()) == []
 
     def test_batch_worlds_one_is_all_fallback(self):
         outcome = execute_batch([xen_req("swaptions", "round-4k")], 1)

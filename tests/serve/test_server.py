@@ -18,7 +18,12 @@ from repro.serve import protocol
 from repro.serve.client import ClientRunner, ServeClient
 from repro.serve.jobs import ATTACHED, QUEUED
 from repro.serve.server import HIT, REJECTED, ReproServer, ServeConfig
-from repro.serve.workers import ExecutionBackend, InlineBackend, WorkerDied
+from repro.serve.workers import (
+    ExecutionBackend,
+    InlineBackend,
+    ProcessBackend,
+    WorkerDied,
+)
 from repro.sim.runspec import RunRequest, VmRequest
 
 
@@ -254,6 +259,22 @@ class TestMetrics:
             assert "submitted" in server.summary()
 
         asyncio.run(main())
+
+
+class TestProcessBackend:
+    """Pool workers must not record into a copy of the server's session."""
+
+    def test_workers_drop_the_inherited_session(self):
+        with obs.session():
+            backend = ProcessBackend(1)
+            try:
+                assert backend._pool.submit(obs.enabled).result() is False
+                asyncio.run(backend.reset())
+                assert backend._pool.submit(obs.enabled).result() is False
+                # The server process itself keeps collecting.
+                assert obs.enabled()
+            finally:
+                asyncio.run(backend.close())
 
 
 def _start_server(store):
