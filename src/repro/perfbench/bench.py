@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import timeit
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -237,7 +237,7 @@ def bench_multi_run(
     byte-identical between the legs (sorted-key JSON of every
     ``RunResult``).
     """
-    legs = {
+    legs: Dict[str, Callable[[List], List]] = {
         "batched": run_worlds,
         "serial": lambda worlds: [oracle.reference_run_world(w) for w in worlds],
     }
