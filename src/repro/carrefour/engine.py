@@ -31,7 +31,6 @@ from repro.carrefour.heuristics import (
     sample_arrays,
 )
 from repro.carrefour.metrics import CarrefourMetrics, compute_metrics
-from repro.core import batch
 from repro.core.policies.base import EpochObservation
 from repro.hardware.counters import HotPageSample, PerfCounters
 
@@ -110,7 +109,7 @@ class UserComponent:
         result.migration_enabled = congested
         result.replication_enabled = congested and self.config.enable_replication
 
-        if placement_many is not None and batch.vectorized() and hot_pages:
+        if placement_many is not None and hot_pages:
             pages, domains, accesses, write_fraction = sample_arrays(hot_pages)
             nodes = placement_many(pages)
             if nodes is not None:

@@ -26,7 +26,6 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core import batch
 from repro.core.page_queue import PageEventBatch
 from repro.errors import P2MError
 from repro.hardware.machine import Machine
@@ -109,16 +108,8 @@ class InternalInterface:
         """Bulk :meth:`invalidate_page` over a gpfn array.
 
         Returns how many entries were actually invalidated (already
-        invalid entries are skipped, exactly like the scalar loop). Falls
-        back to the per-page loop when a sanitizer is attached so traps
-        keep their scalar ordering.
+        invalid entries are skipped, exactly like the scalar loop).
         """
-        if domain.p2m.sanitizer is not None or not batch.vectorized():
-            return sum(
-                1
-                for gpfn in np.asarray(gpfns, dtype=np.int64).tolist()
-                if self.invalidate_page(domain, gpfn)
-            )
         _, mfns = domain.p2m.invalidate_many(gpfns)
         if mfns.size:
             self.allocator.free_pages(mfns)

@@ -36,7 +36,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core import batch as batch_mode
 from repro.errors import HypercallError
 
 
@@ -283,10 +282,6 @@ class PartitionedPageQueue:
         count = int(gpfns.size)
         if count == 0:
             return
-        if not batch_mode.vectorized():
-            for gpfn in gpfns.tolist():
-                self.record(op, gpfn)
-            return
         code = _CODE_OF[op]
         size = self.batch_size
         parts = gpfns % self.num_partitions
@@ -409,7 +404,7 @@ def replay_page_events(
         (invalidated, skipped_reallocated): pages invalidated, and pages
         whose newest event was an allocation.
     """
-    if isinstance(events, PageEventBatch) and batch_mode.vectorized():
+    if isinstance(events, PageEventBatch):
         release_gpfns, skipped = newest_wins(events)
         invalidated = 0
         for gpfn in release_gpfns.tolist():

@@ -257,8 +257,7 @@ class MachineMemory:
             raise OutOfMemoryError("allocation count must be positive")
         mfns = self._extents[node].alloc_singles(count)
         if mfns is not None and self.sanitizer is not None:
-            for mfn in mfns.tolist():
-                self.sanitizer.frames_allocated(int(mfn), 1)
+            self.sanitizer.frames_allocated_many(mfns.tolist())
         return mfns
 
     def free_frames_many(self, mfns: Union[Sequence[int], np.ndarray]) -> None:
@@ -268,18 +267,18 @@ class MachineMemory:
         (extents are kept sorted and coalesced), so this sorts the frames,
         splits them into per-node contiguous runs and frees each run —
         state-identical to freeing them one by one, including raising
-        the same double-free error on duplicates.
+        the same double-free error on duplicates. The sanitizer checks
+        the frames in input order, before the sort.
         """
-        mfns = np.sort(np.asarray(mfns, dtype=np.int64))
+        mfns = np.asarray(mfns, dtype=np.int64)
         if mfns.size == 0:
             return
+        low, high = int(mfns.min()), int(mfns.max())
+        if low < 0 or high >= self.total_frames:
+            raise TopologyError(f"mfn {low if low < 0 else high:#x} out of range")
         if self.sanitizer is not None:
-            for mfn in mfns.tolist():
-                self.free_frames(int(mfn), 1)
-            return
-        if int(mfns[0]) < 0 or int(mfns[-1]) >= self.total_frames:
-            bad = int(mfns[0]) if int(mfns[0]) < 0 else int(mfns[-1])
-            raise TopologyError(f"mfn {bad:#x} out of range")
+            self.sanitizer.frames_freed_many(mfns.tolist())
+        mfns = np.sort(mfns)
         nodes = mfns // self.frames_per_node
         breaks = np.nonzero((np.diff(mfns) != 1) | (np.diff(nodes) != 0))[0] + 1
         starts = np.concatenate(([0], breaks))

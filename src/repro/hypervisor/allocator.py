@@ -29,14 +29,6 @@ from repro.hardware.machine import Machine
 from repro.hypervisor.domain import Domain
 from repro.util import RoundRobin as _RoundRobin
 
-
-def _vectorized() -> bool:
-    # Imported lazily: repro.core's package init imports this module
-    # (via the interface), so a top-level import would be circular.
-    from repro.core import batch
-
-    return batch.vectorized()
-
 GIB = 1 << 30
 MIB_2 = 2 << 20
 
@@ -161,31 +153,14 @@ class XenHeapAllocator:
 
     def depopulate(self, domain: Domain) -> int:
         """Free every frame of the domain (teardown). Returns frames freed."""
-        p2m = domain.p2m
-        if (
-            _vectorized()
-            and p2m.sanitizer is None
-            and self.machine.memory.sanitizer is None
-        ):
-            gpfns = np.arange(
-                domain.gpfn_range().start,
-                domain.gpfn_range().stop,
-                dtype=np.int64,
-            )
-            mfns = p2m.remove_many(gpfns)
-            self.machine.memory.free_frames_many(mfns)
-            domain.built = False
-            self._trace_populate("allocator.depopulate", domain, int(mfns.size))
-            return int(mfns.size)
-        freed = 0
-        for gpfn in list(domain.gpfn_range()):
-            mfn = p2m.remove(gpfn)
-            if mfn is not None:
-                self.machine.memory.free_frames(mfn, 1)
-                freed += 1
+        span = domain.gpfn_range()
+        mfns = domain.p2m.remove_many(
+            np.arange(span.start, span.stop, dtype=np.int64)
+        )
+        self.machine.memory.free_frames_many(mfns)
         domain.built = False
-        self._trace_populate("allocator.depopulate", domain, freed)
-        return freed
+        self._trace_populate("allocator.depopulate", domain, int(mfns.size))
+        return int(mfns.size)
 
     # ------------------------------------------------------------------
     # Page-level primitives (used by policies)
@@ -221,12 +196,6 @@ class XenHeapAllocator:
         memory = self.machine.memory
         if count < 1:
             return np.empty(0, dtype=np.int64)
-        if memory.sanitizer is not None or not _vectorized():
-            return np.fromiter(
-                (self.alloc_page_on(node) for _ in range(count)),
-                dtype=np.int64,
-                count=count,
-            )
         out = np.empty(count, dtype=np.int64)
         filled = 0
         num = self.machine.num_nodes
@@ -246,10 +215,6 @@ class XenHeapAllocator:
 
     def free_pages(self, mfns: Union[Sequence[int], np.ndarray]) -> None:
         """Return a batch of single frames to the heap."""
-        if self.machine.memory.sanitizer is not None or not _vectorized():
-            for mfn in np.asarray(mfns, dtype=np.int64).tolist():
-                self.free_page(mfn)
-            return
         self.machine.memory.free_frames_many(mfns)
 
     # ------------------------------------------------------------------
@@ -261,17 +226,6 @@ class XenHeapAllocator:
         if count < 1:
             return gpfn
         memory = self.machine.memory
-        if (
-            not _vectorized()
-            or domain.p2m.sanitizer is not None
-            or memory.sanitizer is not None
-        ):
-            for _ in range(count):
-                node = rr.next()
-                mfn = self.alloc_page_on(node)
-                domain.p2m.set_entry(gpfn, mfn)
-                gpfn += 1
-            return gpfn
         pattern = np.asarray(rr.next_many(count), dtype=np.int64)
         node_counts = np.bincount(pattern, minlength=self.machine.num_nodes)
         if all(
@@ -314,18 +268,13 @@ class XenHeapAllocator:
                 if mfn is None:
                     continue
                 rr.next()
-                if (
-                    region > 1
-                    and _vectorized()
-                    and domain.p2m.sanitizer is None
-                ):
+                if region == 1:
+                    domain.p2m.set_entry(gpfn, mfn)
+                else:
                     domain.p2m.set_entries(
                         np.arange(gpfn, gpfn + region, dtype=np.int64),
                         np.arange(mfn, mfn + region, dtype=np.int64),
                     )
-                else:
-                    for i in range(region):
-                        domain.p2m.set_entry(gpfn + i, mfn + i)
                 gpfn += region
                 remaining -= region
                 placed = True

@@ -13,14 +13,14 @@ the paper (section 4.1):
   frame, then remapping.
 
 Like a real page table — and unlike the dict-of-objects backend this
-replaced (kept as :class:`repro.perfbench.oracle.DictP2MTable`) — the
-table is contiguous array state: parallel ``mfn``/``flags``/``node``
+replaced (kept as the test-only oracle ``tests/properties/p2m_oracle.py``)
+— the table is contiguous array state: parallel ``mfn``/``flags``/``node``
 arrays indexed by gpfn, with maintained entry/valid counts. The scalar
 method API is unchanged; ``set_entries``/``invalidate_many``/
-``translate_many`` operate on whole gpfn arrays. When a sanitizer is
-attached the batch entry points delegate to the scalar loops so traps
-fire per-entry in the same order, with the same already-applied prefix,
-as the dict backend.
+``translate_many`` operate on whole gpfn arrays. An attached sanitizer
+checks a batch in place through its batch hooks: a trap raises the
+message the per-entry loop would raise first and leaves the table
+unchanged. Only duplicate gpfns send a batch through the per-entry loop.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class P2MEntry:
     """One hypervisor page table entry (plain-record form).
 
     The array backend hands out live :class:`P2MEntryView` objects with
-    the same attributes; this dataclass remains the storage of the scalar
-    oracle backend and the documented shape of an entry.
+    the same attributes; this dataclass remains the storage of the
+    dict-backed test oracle and the documented shape of an entry.
 
     Attributes:
         mfn: backing machine frame.
@@ -255,9 +255,9 @@ class P2MTable:
         """Map each ``gpfns[i]`` to ``mfns[i]`` in one array operation.
 
         Equivalent to calling :meth:`set_entry` per pair, except that
-        validation is all-or-nothing and the observer sees one batch
-        notification. ``gpfns`` must be duplicate-free (duplicates and
-        sanitized tables fall back to the scalar loop).
+        validation — argument checks, then the sanitizer — is
+        all-or-nothing and the observer sees one batch notification.
+        Duplicate gpfns take the per-pair loop.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
         mfns = np.asarray(mfns, dtype=np.int64)
@@ -265,12 +265,16 @@ class P2MTable:
             raise P2MError("set_entries needs matching gpfn/mfn arrays")
         if gpfns.size == 0:
             return
-        if self.sanitizer is not None or np.unique(gpfns).size != gpfns.size:
+        if np.unique(gpfns).size != gpfns.size:
             for gpfn, mfn in zip(gpfns.tolist(), mfns.tolist()):
                 self.set_entry(gpfn, mfn, writable)
             return
         if int(gpfns.min()) < 0 or int(mfns.min()) < 0:
             raise P2MError("frame numbers must be non-negative")
+        if self.sanitizer is not None:
+            self.sanitizer.entries_set(
+                self.domain_id, gpfns.tolist(), mfns.tolist()
+            )
         self._ensure(int(gpfns.max()))
         flags = self._flags[gpfns]
         self._num_entries += int(np.count_nonzero((flags & PRESENT) == 0))
@@ -300,9 +304,7 @@ class P2MTable:
         absent/invalid entries skipped.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
-        if self.sanitizer is not None or (
-            gpfns.size and np.unique(gpfns).size != gpfns.size
-        ):
+        if gpfns.size and np.unique(gpfns).size != gpfns.size:
             hit_gpfns, hit_mfns = [], []
             for gpfn in gpfns.tolist():
                 mfn = self.invalidate(gpfn)
@@ -324,6 +326,8 @@ class P2MTable:
         self._node[sel] = -1
         self._num_valid -= int(sel.size)
         self.invalidations += int(sel.size)
+        if self.sanitizer is not None:
+            self.sanitizer.entries_invalidated(self.domain_id, sel.tolist())
         observer = self.observer
         if observer is not None:
             batch_hook = getattr(observer, "entries_invalidated", None)
@@ -342,9 +346,7 @@ class P2MTable:
         them wholesale).
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
-        if self.sanitizer is not None or (
-            gpfns.size and np.unique(gpfns).size != gpfns.size
-        ):
+        if gpfns.size and np.unique(gpfns).size != gpfns.size:
             mfns = [
                 mfn
                 for mfn in (self.remove(gpfn) for gpfn in gpfns.tolist())
@@ -362,6 +364,8 @@ class P2MTable:
         self._flags[present] = 0
         self._mfn[present] = -1
         self._node[present] = -1
+        if self.sanitizer is not None:
+            self.sanitizer.entries_invalidated(self.domain_id, valid.tolist())
         observer = self.observer
         if observer is not None and valid.size:
             batch_hook = getattr(observer, "entries_invalidated", None)
@@ -501,19 +505,23 @@ class P2MTable:
         """Clear the writable bit of every ``gpfns`` entry in one operation.
 
         Pre-copy live migration protects a whole copy round's pages this
-        way. Equivalent to a per-gpfn :meth:`write_protect` loop — all
-        entries must be valid (raises on the first that is not), and
-        sanitized tables or duplicate inputs delegate to the scalar loop
-        so traps fire per-entry in input order.
+        way. Equivalent to a per-gpfn :meth:`write_protect` loop, except
+        that it is all-or-nothing: every entry must be valid (raises on
+        the first that is not), then the sanitizer checks the batch.
+        Duplicate gpfns take the per-gpfn loop.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
         if gpfns.size == 0:
             return
-        if self.sanitizer is not None or np.unique(gpfns).size != gpfns.size:
+        if np.unique(gpfns).size != gpfns.size:
             for gpfn in gpfns.tolist():
                 self.write_protect(gpfn)
             return
         self._require_valid_many(gpfns)
+        if self.sanitizer is not None:
+            self.sanitizer.entries_write_protected(
+                self.domain_id, gpfns.tolist()
+            )
         self._flags[gpfns] &= np.uint8(0xFF ^ WRITABLE)
 
     def unprotect_many(self, gpfns: _GpfnArray) -> None:
@@ -521,17 +529,19 @@ class P2MTable:
 
         The stop-and-copy cutover releases the final round's protections
         with this. Same contract as :meth:`write_protect_many`: per-gpfn
-        :meth:`unprotect` semantics, scalar fallback when sanitized or
-        given duplicates.
+        :meth:`unprotect` semantics, all-or-nothing, the per-gpfn loop
+        for duplicates.
         """
         gpfns = np.asarray(gpfns, dtype=np.int64)
         if gpfns.size == 0:
             return
-        if self.sanitizer is not None or np.unique(gpfns).size != gpfns.size:
+        if np.unique(gpfns).size != gpfns.size:
             for gpfn in gpfns.tolist():
                 self.unprotect(gpfn)
             return
         self._require_valid_many(gpfns)
+        if self.sanitizer is not None:
+            self.sanitizer.entries_unprotected(self.domain_id, gpfns.tolist())
         self._flags[gpfns] |= np.uint8(WRITABLE)
 
     def writable_mask(self, gpfns: _GpfnArray) -> np.ndarray:

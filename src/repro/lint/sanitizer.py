@@ -17,20 +17,32 @@ machine memory and to each domain's p2m table (``.sanitizer``
 attributes, ``None`` when disabled — the hooks cost one attribute check
 each). Enable globally with :func:`enable` (the tier-1 test suite does,
 via ``tests/conftest.py``) or per-run with ``SimConfig.sanitize_p2m``.
+
+Batch operations (``set_entries``, ``invalidate_many``/``remove_many``,
+``write_protect_many``/``unprotect_many``, ``alloc_singles``,
+``free_frames_many``) are checked in place by the batch hooks: each one
+walks the whole batch in input order — earlier elements of the same
+batch count, so two pairs mapping one frame are a double map at the
+second pair — raises the error the per-entry loop would raise first,
+and updates the shadow state only when the whole batch passes. The
+single-entry hooks are the one-element case. A batch op runs its own
+argument checks (:class:`~repro.errors.P2MError`,
+:class:`~repro.errors.TopologyError`) over the whole batch before the
+sanitizer sees it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
 from repro.errors import SanitizerError
 
 class _SanitizerMode:
     """Holds the process-wide global-enable switch.
 
-    An attribute on one holder object (the ``core.batch`` idiom) rather
-    than a rebound module global, so the dataflow lint can see the write
-    is confined to one owned object.
+    An attribute on one holder object rather than a rebound module
+    global, so the dataflow lint can see the write is confined to one
+    owned object.
     """
 
     __slots__ = ("enabled",)
@@ -83,9 +95,17 @@ class P2MSanitizer:
         """A run of ``count`` frames starting at ``mfn`` left the heap."""
         self._allocated.update(range(mfn, mfn + count))
 
+    def frames_allocated_many(self, mfns: Iterable[int]) -> None:
+        """A set of single frames left the heap (``alloc_singles``)."""
+        self._allocated.update(mfns)
+
     def frames_freed(self, mfn: int, count: int) -> None:
         """A run of frames is about to return to the heap."""
-        for frame in range(mfn, mfn + count):
+        self.frames_freed_many(range(mfn, mfn + count))
+
+    def frames_freed_many(self, mfns: Sequence[int]) -> None:
+        """Frames are about to return to the heap, checked in input order."""
+        for frame in mfns:
             owner = self._owners.get(frame)
             if owner is not None:
                 raise SanitizerError(
@@ -93,42 +113,57 @@ class P2MSanitizer:
                     f"{owner[0]} gpfn {owner[1]:#x}; invalidate or remap "
                     f"the entry before freeing its frame"
                 )
-        self._allocated.difference_update(range(mfn, mfn + count))
+        self._allocated.difference_update(mfns)
 
     # ------------------------------------------------------------------
     # P2M table hooks (called before the table mutates)
 
     def entry_set(self, domain_id: int, gpfn: int, mfn: int) -> None:
         """``set_entry``: map/revalidate ``gpfn`` onto ``mfn``."""
-        key = (domain_id, gpfn)
-        if key in self._protected:
-            raise SanitizerError(
-                f"set_entry on write-protected domain {domain_id} gpfn "
-                f"{gpfn:#x}: an in-flight migration must finish (remap) "
-                f"or abort (unprotect) first"
-            )
-        if mfn not in self._allocated:
-            raise SanitizerError(
-                f"mapping frame {mfn:#x} that is not allocated from the "
-                f"heap (freed or never allocated) at domain {domain_id} "
-                f"gpfn {gpfn:#x}"
-            )
-        owner = self._owners.get(mfn)
-        if owner is not None and owner != key:
-            raise SanitizerError(
-                f"double map of frame {mfn:#x}: already backs domain "
-                f"{owner[0]} gpfn {owner[1]:#x}, now mapped at domain "
-                f"{domain_id} gpfn {gpfn:#x}"
-            )
-        old_mfn = self._backing.get(key)
-        if old_mfn is not None and old_mfn != mfn:
-            raise SanitizerError(
-                f"overwriting live mapping of domain {domain_id} gpfn "
-                f"{gpfn:#x} (frame {old_mfn:#x} -> {mfn:#x}) without "
-                f"invalidate or migrate; the old frame would leak"
-            )
-        self._owners[mfn] = key
-        self._backing[key] = mfn
+        self.entries_set(domain_id, (gpfn,), (mfn,))
+
+    def entries_set(
+        self, domain_id: int, gpfns: Sequence[int], mfns: Sequence[int]
+    ) -> None:
+        """``set_entries``: map each ``gpfns[i]`` onto ``mfns[i]``.
+
+        The pairs are checked in input order against the shadow state
+        plus the pairs before them; nothing is recorded unless all pass.
+        """
+        owners: Dict[int, Tuple[int, int]] = {}
+        backing: Dict[Tuple[int, int], int] = {}
+        for gpfn, mfn in zip(gpfns, mfns):
+            key = (domain_id, gpfn)
+            if key in self._protected:
+                raise SanitizerError(
+                    f"set_entry on write-protected domain {domain_id} gpfn "
+                    f"{gpfn:#x}: an in-flight migration must finish (remap) "
+                    f"or abort (unprotect) first"
+                )
+            if mfn not in self._allocated:
+                raise SanitizerError(
+                    f"mapping frame {mfn:#x} that is not allocated from the "
+                    f"heap (freed or never allocated) at domain {domain_id} "
+                    f"gpfn {gpfn:#x}"
+                )
+            owner = owners.get(mfn, self._owners.get(mfn))
+            if owner is not None and owner != key:
+                raise SanitizerError(
+                    f"double map of frame {mfn:#x}: already backs domain "
+                    f"{owner[0]} gpfn {owner[1]:#x}, now mapped at domain "
+                    f"{domain_id} gpfn {gpfn:#x}"
+                )
+            old_mfn = backing.get(key, self._backing.get(key))
+            if old_mfn is not None and old_mfn != mfn:
+                raise SanitizerError(
+                    f"overwriting live mapping of domain {domain_id} gpfn "
+                    f"{gpfn:#x} (frame {old_mfn:#x} -> {mfn:#x}) without "
+                    f"invalidate or migrate; the old frame would leak"
+                )
+            owners[mfn] = key
+            backing[key] = mfn
+        self._owners.update(owners)
+        self._backing.update(backing)
 
     def entry_invalidated(self, domain_id: int, gpfn: int) -> None:
         """``invalidate``/``remove``: ``gpfn`` no longer translates."""
@@ -138,15 +173,29 @@ class P2MSanitizer:
             self._owners.pop(mfn, None)
         self._protected.discard(key)
 
+    def entries_invalidated(self, domain_id: int, gpfns: Iterable[int]) -> None:
+        """``invalidate_many``/``remove_many``: these gpfns no longer translate."""
+        for gpfn in gpfns:
+            self.entry_invalidated(domain_id, gpfn)
+
     def entry_write_protected(self, domain_id: int, gpfn: int) -> None:
         """``write_protect``: migration step one."""
-        key = (domain_id, gpfn)
-        if key in self._protected:
-            raise SanitizerError(
-                f"double write_protect of domain {domain_id} gpfn "
-                f"{gpfn:#x}: a migration of this page is already in flight"
-            )
-        self._protected.add(key)
+        self.entries_write_protected(domain_id, (gpfn,))
+
+    def entries_write_protected(
+        self, domain_id: int, gpfns: Sequence[int]
+    ) -> None:
+        """``write_protect_many``: step one for a batch, in input order."""
+        keys: Set[Tuple[int, int]] = set()
+        for gpfn in gpfns:
+            key = (domain_id, gpfn)
+            if key in self._protected or key in keys:
+                raise SanitizerError(
+                    f"double write_protect of domain {domain_id} gpfn "
+                    f"{gpfn:#x}: a migration of this page is already in flight"
+                )
+            keys.add(key)
+        self._protected.update(keys)
 
     def entry_remapped(
         self, domain_id: int, gpfn: int, old_mfn: int, new_mfn: int
@@ -195,10 +244,17 @@ class P2MSanitizer:
 
     def entry_unprotected(self, domain_id: int, gpfn: int) -> None:
         """``unprotect``: a migration was aborted."""
-        key = (domain_id, gpfn)
-        if key not in self._protected:
-            raise SanitizerError(
-                f"unprotect of domain {domain_id} gpfn {gpfn:#x} that "
-                f"was never write-protected"
-            )
-        self._protected.discard(key)
+        self.entries_unprotected(domain_id, (gpfn,))
+
+    def entries_unprotected(self, domain_id: int, gpfns: Sequence[int]) -> None:
+        """``unprotect_many``: abort a batch of migrations, in input order."""
+        keys: Set[Tuple[int, int]] = set()
+        for gpfn in gpfns:
+            key = (domain_id, gpfn)
+            if key not in self._protected or key in keys:
+                raise SanitizerError(
+                    f"unprotect of domain {domain_id} gpfn {gpfn:#x} that "
+                    f"was never write-protected"
+                )
+            keys.add(key)
+        self._protected.difference_update(keys)

@@ -99,9 +99,9 @@ class ObsSession:
 class _SessionSlot:
     """Holds the process-local active session.
 
-    An attribute on one holder object (the ``core.batch`` idiom) rather
-    than a rebound module global, so the dataflow lint can see the write
-    is confined to one owned object.
+    An attribute on one holder object rather than a rebound module
+    global, so the dataflow lint can see the write is confined to one
+    owned object.
     """
 
     __slots__ = ("session",)

@@ -26,12 +26,6 @@ from repro.sim.runspec import RunRequest, VmRequest
 
 #: timeit repetitions per world preset.
 DEFAULT_REPEAT = 5
-#: timeit repetitions of the page-path comparison (each sample simulates
-#: a full page-heavy world twice, so this stays smaller than the world
-#: benchmarks' repeat).
-DEFAULT_PAGE_PATH_REPEAT = 3
-#: World preset used for the page-path comparison.
-PAGE_PATH_PRESET = "xlarge"
 #: Solver (congestion + latency_matrix) invocations per microbench sample.
 DEFAULT_SOLVER_ITERATIONS = 200
 #: Mean access-matrix entry of the microbenchmark (accesses per epoch
@@ -122,7 +116,7 @@ def bench_solver(
     n = machine.num_nodes
     matrix = rng.uniform(0.0, MICROBENCH_TRAFFIC, size=(n, n))
 
-    def vectorized() -> None:
+    def solve() -> None:
         rho_c, rho_l = solver.congestion(matrix, 1.0)
         solver.latency_matrix(rho_c, rho_l)
 
@@ -131,7 +125,7 @@ def bench_solver(
         oracle.loop_latency_matrix(solver, rho_c, rho_l)
 
     vec_s = min(
-        timeit.Timer(vectorized).repeat(repeat=max(1, repeat), number=iterations)
+        timeit.Timer(solve).repeat(repeat=max(1, repeat), number=iterations)
     )
     loop_s = min(
         timeit.Timer(loop).repeat(repeat=max(1, repeat), number=iterations)
@@ -141,55 +135,6 @@ def bench_solver(
         "vectorized_seconds": vec_s,
         "loop_seconds": loop_s,
         "speedup": loop_s / vec_s if vec_s else float("inf"),
-    }
-
-
-def bench_page_path(
-    config: SimConfig,
-    repeat: int = DEFAULT_PAGE_PATH_REPEAT,
-    preset: str = PAGE_PATH_PRESET,
-) -> Dict[str, float]:
-    """Array-backed page path vs the dict/loop oracle on a page-heavy world.
-
-    Times ``run_world`` (which includes guest init — the fault storm the
-    page scale multiplies) on the same preset twice: once with the
-    vectorized backend and once under :func:`oracle.scalar_page_path`,
-    which swaps in the dict-backed P2M and forces every batch entry point
-    through its scalar loop. The world is built *inside* the oracle
-    context so domain creation itself uses the dict table. Both runs must
-    produce identical epoch counts — the speedup is only meaningful if
-    the two backends did the same work.
-    """
-
-    def sample(scalar: bool) -> float:
-        world = build_world(preset, config)
-        holder: Dict[str, object] = {}
-
-        def timed() -> None:
-            holder["results"] = run_world(world)
-
-        seconds = timeit.Timer(timed).timeit(number=1)
-        epochs_seen.add(max(r.epochs for r in holder["results"]))
-        return seconds
-
-    epochs_seen: set = set()
-    vec_samples = [sample(scalar=False) for _ in range(max(1, repeat))]
-    scalar_samples = []
-    with oracle.scalar_page_path():
-        for _ in range(max(1, repeat)):
-            scalar_samples.append(sample(scalar=True))
-    vec_s = float(np.median(vec_samples))
-    scalar_s = float(np.median(scalar_samples))
-    return {
-        "preset": preset,
-        "repeat": float(max(1, repeat)),
-        "epochs": float(max(epochs_seen)),
-        "results_match": float(len(epochs_seen) == 1),
-        "vectorized_median_seconds": vec_s,
-        "scalar_median_seconds": scalar_s,
-        "vectorized_min_seconds": float(np.min(vec_samples)),
-        "scalar_min_seconds": float(np.min(scalar_samples)),
-        "speedup": scalar_s / vec_s if vec_s else float("inf"),
     }
 
 
@@ -296,8 +241,7 @@ def bench_migration(
     per-page protect / one-page stamp copy / unprotect loops. Each
     variant transfers into its own destination domain and the two
     images must come out identical. Domains are built bare (no
-    hypervisor, no sanitizer) so the batch entry points stay on their
-    vectorized paths.
+    hypervisor, so no sanitizer) to time the p2m operations alone.
     """
 
     def build_domain(domain_id: int, name: str) -> Domain:
@@ -367,8 +311,6 @@ def run_benchmarks(
     repeat: int = DEFAULT_REPEAT,
     worlds: Optional[Iterable[str]] = None,
     solver_iterations: int = DEFAULT_SOLVER_ITERATIONS,
-    page_path: bool = True,
-    page_path_repeat: int = DEFAULT_PAGE_PATH_REPEAT,
     migration: bool = True,
     multi_run: bool = True,
     multi_run_repeat: int = DEFAULT_MULTI_RUN_REPEAT,
@@ -388,8 +330,6 @@ def run_benchmarks(
             config, repeat=repeat, iterations=solver_iterations
         ),
     }
-    if page_path:
-        payload["page_path"] = bench_page_path(config, repeat=page_path_repeat)
     if migration:
         payload["migration"] = bench_migration(config, repeat=repeat)
     if multi_run:

@@ -25,7 +25,6 @@ from repro import obs
 from repro.config import SimConfig
 from repro.perfbench.bench import (
     DEFAULT_MULTI_RUN_REPEAT,
-    DEFAULT_PAGE_PATH_REPEAT,
     DEFAULT_REPEAT,
     DEFAULT_SOLVER_ITERATIONS,
     run_benchmarks,
@@ -64,11 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         f"(default: {DEFAULT_SOLVER_ITERATIONS})",
     )
     parser.add_argument(
-        "--no-page-path",
-        action="store_true",
-        help="skip the page-path (array vs dict/loop p2m) comparison",
-    )
-    parser.add_argument(
         "--no-migration",
         action="store_true",
         help="skip the migration (batched vs scalar dirty-round copy) "
@@ -85,13 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MULTI_RUN_REPEAT,
         help="timeit repetitions of the multi-run comparison "
         f"(default: {DEFAULT_MULTI_RUN_REPEAT})",
-    )
-    parser.add_argument(
-        "--page-path-repeat",
-        type=int,
-        default=DEFAULT_PAGE_PATH_REPEAT,
-        help="timeit repetitions of the page-path comparison "
-        f"(default: {DEFAULT_PAGE_PATH_REPEAT})",
     )
     parser.add_argument(
         "--seed",
@@ -136,16 +123,6 @@ def _print_report(payload: dict, out) -> None:
         f"{micro['speedup']:.1f}x",
         file=out,
     )
-    page_path = payload.get("page_path")
-    if page_path:
-        match = "ok" if page_path["results_match"] else "MISMATCH"
-        print(
-            f"  page_path [{page_path['preset']}]: vectorized "
-            f"{page_path['vectorized_median_seconds']:.3f}s vs scalar oracle "
-            f"{page_path['scalar_median_seconds']:.3f}s -> "
-            f"{page_path['speedup']:.1f}x (epochs {match})",
-            file=out,
-        )
     migration = payload.get("migration")
     if migration:
         match = "ok" if migration["results_match"] else "MISMATCH"
@@ -222,8 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             repeat=args.repeat,
             worlds=args.worlds,
             solver_iterations=args.solver_iterations,
-            page_path=not args.no_page_path,
-            page_path_repeat=args.page_path_repeat,
             migration=not args.no_migration,
             multi_run=not args.no_multi_run,
             multi_run_repeat=args.multi_run_repeat,

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import SimConfig, DEFAULT_CONFIG
-from repro.core import batch
 from repro.core.page_queue import lock_service_slowdown
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.core.interface import ExternalInterface
@@ -333,18 +332,10 @@ class _LinuxContext(_PolicyContext):
 
     def _segment_attached(self, segment: RuntimeSegment, vma) -> None:
         # In native mode the page key is the (stable) virtual page.
-        if batch.vectorized():
-            segment.keys[:] = np.arange(
-                vma.start_vpfn, vma.end_vpfn, dtype=np.int64
-            )
-            self.tracker.track_range(
-                vma.start_vpfn, segment.num_pages, segment.placement, 0
-            )
-            return
-        for idx in range(segment.num_pages):
-            vpfn = vma.start_vpfn + idx
-            segment.keys[idx] = vpfn
-            self.tracker.track(vpfn, segment.placement, idx)
+        segment.keys[:] = np.arange(vma.start_vpfn, vma.end_vpfn, dtype=np.int64)
+        self.tracker.track_range(
+            vma.start_vpfn, segment.num_pages, segment.placement, 0
+        )
 
     def _node_of_touch(self, segment, idx, vpfn, frame, thread, first) -> int:
         return self.machine.node_of_frame(frame)
@@ -569,17 +560,14 @@ class _XenContext(_PolicyContext):
     def touch_segment(self, run, segment, toucher) -> bool:
         """Initialise a whole untouched segment through the batch paths.
 
-        The fast path needs: batch mode on, no sanitizer (scalar
-        delegation keeps trap order exact), a fully untouched segment,
-        and a contiguous guest allocation (so the segment registers as
-        one key range). The p2m entries then split into a translating
-        subset (booted mapped) and a faulting subset (first-touch), each
-        resolved with one array operation; every counter, placement
-        version and float accumulator advances exactly as the per-page
-        loop's.
+        The batch path needs a fully untouched segment and a contiguous
+        guest allocation (so the segment registers as one key range); an
+        armed sanitizer checks its batch ops in place. The p2m entries
+        then split into a translating subset (booted mapped) and a
+        faulting subset (first-touch), each resolved with one array
+        operation; every counter, placement version and float
+        accumulator advances exactly as the per-page loop's.
         """
-        if not batch.vectorized() or self.hypervisor.sanitizer is not None:
-            return False
         if (segment.keys >= 0).any():
             return False
         count = segment.num_pages

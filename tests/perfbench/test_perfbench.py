@@ -5,8 +5,6 @@ import json
 import pytest
 
 from repro.config import SimConfig
-from repro.lint import sanitizer as p2m_sanitizer
-from repro.perfbench import oracle
 from repro.perfbench.bench import (
     bench_migration,
     bench_multi_run,
@@ -30,7 +28,6 @@ class TestCli:
                 "--repeat", "1",
                 "--worlds", "small",
                 "--solver-iterations", "5",
-                "--no-page-path",
             ]
         )
         assert rc == 0
@@ -54,7 +51,6 @@ class TestCli:
             "--repeat", "1",
             "--worlds", "small",
             "--solver-iterations", "2",
-            "--no-page-path",
         ]
         assert main(["--label", "a", *common]) == 0
         rc = main(
@@ -77,7 +73,6 @@ class TestCli:
                 "--repeat", "1",
                 "--worlds", "small",
                 "--solver-iterations", "2",
-                "--no-page-path",
                 "--baseline", str(tmp_path / "nope.json"),
             ]
         )
@@ -104,12 +99,8 @@ class TestWorlds:
         assert "xlarge" in WORLD_PRESETS
         config = SimConfig()
         scale_factor = config.page_scale // XLARGE_PAGE_SCALE
-        p2m_sanitizer.disable()  # array-path populate; re-armed below
-        try:
-            large = build_world("large", config)
-            xlarge = build_world("xlarge", config)
-        finally:
-            p2m_sanitizer.enable()
+        large = build_world("large", config)
+        xlarge = build_world("xlarge", config)
         assert xlarge.machine.config.page_scale == XLARGE_PAGE_SCALE
         large_domains = sorted(
             run.context.domain.memory_pages for run in large.runs
@@ -120,24 +111,6 @@ class TestWorlds:
         assert len(xlarge_domains) == len(large_domains)
         for small_pages, big_pages in zip(large_domains, xlarge_domains):
             assert big_pages == small_pages * scale_factor
-
-
-class TestScalarOracleEquivalence:
-    def test_small_world_matches_dict_backend(self):
-        """One full world simulated on both page-path backends: identical
-        results (the report-level byte-identity check in miniature)."""
-        config = SimConfig()
-        p2m_sanitizer.disable()  # exercise the real vectorized paths
-        try:
-            vec = run_world(build_world("small", config))
-            with oracle.scalar_page_path():
-                scalar = run_world(build_world("small", config))
-        finally:
-            p2m_sanitizer.enable()
-        assert [r.completion_seconds for r in vec] == [
-            r.completion_seconds for r in scalar
-        ]
-        assert [r.epochs for r in vec] == [r.epochs for r in scalar]
 
 
 class TestMigrationMicrobench:

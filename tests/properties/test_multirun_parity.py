@@ -4,10 +4,11 @@
 fixed batches; here hypothesis draws whole request batches — mixed
 applications, policies, seeds, environments, with the per-request P2M
 sanitizer armed on a random subset — and requires the batched executor to
-reproduce serial execution byte for byte, with the armed requests on the
-scalar fallback path. A second, deterministic case drives the fig8
-two-stage scenario (sweeps decide follow-up pair runs) through a batched
-runner and compares stores against a serial runner.
+reproduce serial execution byte for byte, with the armed requests run
+alone (a lane of one) on the same page path, checked in place. A
+second, deterministic case drives the fig8 two-stage scenario (sweeps
+decide follow-up pair runs) through a batched runner and compares
+stores against a serial runner.
 """
 
 import json
