@@ -12,7 +12,7 @@ from repro.experiments import fig10
 
 
 def test_fig10_best_vs_best(benchmark):
-    result = run_once(benchmark, lambda: fig10.run(verbose=False))
+    result = run_once(benchmark, lambda: fig10.SCENARIO.run(verbose=False))
     assert len(result.overheads) == 29
     above_plus = result.count_above("xen+", 0.5)
     above_numa = result.count_above("xen+numa", 0.5)

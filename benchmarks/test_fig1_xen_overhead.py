@@ -10,7 +10,7 @@ from repro.experiments import fig1
 
 
 def test_fig1_xen_overhead(benchmark):
-    result = run_once(benchmark, lambda: fig1.run(verbose=False))
+    result = run_once(benchmark, lambda: fig1.SCENARIO.run(verbose=False))
     assert len(result.overheads) == 29
     # Shape: many applications suffer badly under stock Xen.
     assert result.count_above(0.5) >= 10

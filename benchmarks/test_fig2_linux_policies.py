@@ -10,7 +10,7 @@ from repro.experiments import fig2
 
 
 def test_fig2_linux_policies(benchmark):
-    result = run_once(benchmark, lambda: fig2.run(verbose=False))
+    result = run_once(benchmark, lambda: fig2.SCENARIO.run(verbose=False))
     assert len(result.improvements) == 29
     assert result.count_spread_above(0.25) >= 10
     assert result.count_spread_above(0.50) >= 7

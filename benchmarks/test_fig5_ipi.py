@@ -7,7 +7,7 @@ from repro.experiments import fig5
 
 
 def test_fig5_ipi(benchmark):
-    result = run_once(benchmark, lambda: fig5.run(verbose=False))
+    result = run_once(benchmark, lambda: fig5.SCENARIO.run(verbose=False))
     assert result.totals["native"] == pytest.approx(0.9e-6)
     assert result.totals["guest"] == pytest.approx(10.9e-6)
     assert 11 < result.guest_native_ratio < 13

@@ -10,7 +10,7 @@ from repro.experiments import fig6
 
 
 def test_fig6_xen_plus(benchmark):
-    result = run_once(benchmark, lambda: fig6.run(verbose=False))
+    result = run_once(benchmark, lambda: fig6.SCENARIO.run(verbose=False))
     assert len(result.overheads) == 29
     # Xen+ still leaves a substantial NUMA-placement gap.
     assert result.count_above("xen+", 0.25) >= 8

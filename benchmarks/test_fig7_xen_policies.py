@@ -12,7 +12,7 @@ from repro.experiments import fig7
 
 
 def test_fig7_xen_policies(benchmark):
-    result = run_once(benchmark, lambda: fig7.run(verbose=False))
+    result = run_once(benchmark, lambda: fig7.SCENARIO.run(verbose=False))
     assert len(result.improvements) == 29
     # A third-ish of the applications improve >100% with the right policy.
     assert result.count_best_above(1.0) >= 5

@@ -6,7 +6,7 @@ from repro.experiments import fig8
 
 
 def test_fig8_colocated(benchmark):
-    result = run_once(benchmark, lambda: fig8.run(verbose=False))
+    result = run_once(benchmark, lambda: fig8.SCENARIO.run(verbose=False))
     assert len(result.pairs) == 5
     # In most pairs at least one VM improves substantially with the right
     # policy (the paper: 9 of 11 configurations across Figs 8-9 improve a

@@ -6,7 +6,7 @@ from repro.experiments import fig9
 
 
 def test_fig9_consolidated(benchmark):
-    result = run_once(benchmark, lambda: fig9.run(verbose=False))
+    result = run_once(benchmark, lambda: fig9.SCENARIO.run(verbose=False))
     assert len(result.pairs) == 6
     # NUMA policies matter under consolidation too.
     assert result.count_vm_improved_above(0.5) >= 3

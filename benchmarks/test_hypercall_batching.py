@@ -6,7 +6,7 @@ from repro.experiments import batching
 
 
 def test_hypercall_batching(benchmark):
-    result = run_once(benchmark, lambda: batching.run(verbose=False))
+    result = run_once(benchmark, lambda: batching.SCENARIO.run(verbose=False))
     # One empty hypercall per release divides wrmem's performance by ~3.
     assert 2.0 < result.unbatched_slowdown < 4.5
     # 87.5% of a flush is spent invalidating pages, 12.5% sending.

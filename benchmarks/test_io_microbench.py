@@ -7,7 +7,7 @@ from repro.vio.disk import IoMode
 
 
 def test_io_microbench(benchmark):
-    result = run_once(benchmark, lambda: io_micro.run(verbose=False))
+    result = run_once(benchmark, lambda: io_micro.SCENARIO.run(verbose=False))
     assert result.matches_paper(tolerance=0.02)
     # Larger reads amortise the virtualisation overhead (both paths).
     for mode in (IoMode.PARAVIRT, IoMode.PASSTHROUGH):

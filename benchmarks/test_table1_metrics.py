@@ -12,7 +12,7 @@ from repro.workloads.suite import get_app
 
 
 def test_table1_metrics(benchmark):
-    result = run_once(benchmark, lambda: table1.run(verbose=False))
+    result = run_once(benchmark, lambda: table1.SCENARIO.run(verbose=False))
     assert len(result.rows) == 29
     # The low/moderate/high classification matches the paper for almost
     # every application (ties at class boundaries may flip).
@@ -33,7 +33,7 @@ def test_table1_metrics(benchmark):
 
 def test_table1_interconnect_tracks_paper(benchmark):
     """Mean absolute error of the interconnect columns stays small."""
-    rows = table1.run(verbose=False).rows
+    rows = table1.SCENARIO.run(verbose=False).rows
     errors = []
     for row in rows:
         app = get_app(row.app)

@@ -6,7 +6,7 @@ from repro.experiments import table2
 
 
 def test_table2_behaviour(benchmark):
-    result = run_once(benchmark, lambda: table2.run(verbose=False))
+    result = run_once(benchmark, lambda: table2.SCENARIO.run(verbose=False))
     assert len(result.rows) == 29
     for row in result.rows:
         # The modeled footprint matches the spec within page rounding.

@@ -6,7 +6,7 @@ from repro.experiments import table3
 
 
 def test_table3_latency(benchmark):
-    result = run_once(benchmark, lambda: table3.run(verbose=False))
+    result = run_once(benchmark, lambda: table3.SCENARIO.run(verbose=False))
     # The latency model is calibrated on this table: exact match.
     assert result.max_relative_error() < 0.01
     assert result.cache_cycles == {"L1": 5.0, "L2": 16.0, "L3": 48.0}

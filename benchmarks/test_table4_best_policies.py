@@ -11,7 +11,7 @@ from repro.experiments import table4
 
 
 def test_table4_best_policies(benchmark):
-    result = run_once(benchmark, lambda: table4.run(verbose=False))
+    result = run_once(benchmark, lambda: table4.SCENARIO.run(verbose=False))
     n = len(result.rows)
     assert n == 29
     assert result.linux_family_matches() >= n // 2

@@ -23,12 +23,14 @@ from repro.core.autoselect import (
 )
 from repro.core.policies.base import PolicySpec
 from repro.experiments import common
+from repro.runner import Runner
 from repro.workloads.suite import get_app
 
 APPS = ["cg.C", "bt.C", "kmeans", "dc.B", "wrmem"]
 
 
 def main() -> int:
+    runner = Runner()
     rows = []
     for name in APPS:
         app = get_app(name)
@@ -41,13 +43,15 @@ def main() -> int:
             churn_per_thread_s=app.churn_per_thread_s,
         ).select()
 
-        # Oracle: the full sweep (memoised across apps by the harness).
-        _, oracle_label = common.xen_numa_run(app)
+        # Oracle: the full sweep. The regret runs below resolve through
+        # the same runner, so every policy in the sweep is a store hit.
+        sweep = runner.resolve(common.xen_numa_requests(name))
+        _, oracle_label = common.best_xen_numa(sweep.one, name)
         oracle = PolicySpec.parse(oracle_label)
 
         def regret(spec):
-            chosen = common.xen_run(app, spec)
-            best = common.xen_run(app, oracle)
+            chosen = sweep.one(common.xen_request(name, spec))
+            best = sweep.one(common.xen_request(name, oracle))
             return chosen.completion_seconds / best.completion_seconds - 1.0
 
         rows.append(

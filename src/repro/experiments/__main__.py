@@ -1,15 +1,18 @@
 """Command-line entry point for the experiment pipeline.
 
-Two forms::
+Four commands::
 
+    python -m repro.experiments list
     python -m repro.experiments run fig2 fig6 --jobs 8 --store .runstore
-    python -m repro.experiments <name> [app ...]     # legacy direct form
+    python -m repro.experiments submit fig7 --ready-file serve.ready
+    python -m repro.experiments report [output.md]
 
-plus ``list`` (describe every scenario) and ``report`` (regenerate
-EXPERIMENTS.md). The ``run`` form resolves the scenarios' declared
-requests through one shared store — duplicates across scenarios execute
-once — and prints the store/runner counters at the end, so a second
-invocation against an on-disk ``--store`` shows the hits.
+``list`` describes every scenario, ``submit`` resolves through a running
+``python -m repro.serve`` server and ``report`` regenerates EXPERIMENTS.md.
+The ``run`` form resolves the scenarios' declared requests through one
+shared store — duplicates across scenarios execute once — and prints the
+store/runner counters at the end, so a second invocation against an
+on-disk ``--store`` shows the hits.
 """
 
 from __future__ import annotations
@@ -17,50 +20,14 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import ExitStack
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro import obs
 from repro.config import SimConfig
 from repro.errors import ReproError
-from repro.experiments import (
-    batching,
-    cluster_migration,
-    common,
-    fig1,
-    fig2,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    io_micro,
-    registry,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from repro.experiments import common, registry
 from repro.runner import Runner
 from repro.runstore import open_store
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig1": fig1.run,
-    "fig2": fig2.run,
-    "table1": table1.run,
-    "table2": table2.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "fig5": fig5.run,
-    "io": io_micro.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "fig9": fig9.run,
-    "fig10": fig10.run,
-    "batching": batching.run,
-    "cluster_migration": cluster_migration.run,
-}
 
 USAGE = """\
 usage: python -m repro.experiments <command>
@@ -77,14 +44,13 @@ commands:
                                         --apps a,b  --page-scale N  --quiet
                                         --metrics PATH  --shutdown
   report [output.md]           regenerate the EXPERIMENTS.md report
-  <name> [app ...]             legacy form: one experiment, default store
 
 scenario names: {names}
 """
 
 
 def _usage() -> str:
-    return USAGE.format(names=", ".join(EXPERIMENTS))
+    return USAGE.format(names=", ".join(registry.scenario_names()))
 
 
 def _list_command() -> int:
@@ -251,19 +217,13 @@ def main(argv=None) -> int:
             from repro.experiments import report
 
             return report.main(argv[1:])
-        # Legacy form: one experiment through the process-default store.
-        apps = argv[1:] or None
-        if command == "all":
-            for key, runner in EXPERIMENTS.items():
-                print(f"\n######## {key} ########\n")
-                runner(apps=apps)
-            return 0
-        runner = EXPERIMENTS.get(command)
-        if runner is None:
-            print(f"unknown experiment {command!r}; known: {', '.join(EXPERIMENTS)}")
-            return 1
-        runner(apps=apps)
-        return 0
+        print(
+            f"error: unknown command {command!r} (commands: list, run, "
+            f"submit, report); to run a scenario use "
+            f"`python -m repro.experiments run {command}`",
+            file=sys.stderr,
+        )
+        return 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ from repro.core.policies.base import PolicyName, PolicySpec
 from repro.experiments import common
 from repro.experiments.registry import Scenario, register
 from repro.hypervisor.hypercalls import HypercallCostModel
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest
 from repro.workloads.suite import WRMEM_CHURN
 
@@ -100,27 +100,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> BatchingResult:
-    """Regenerate the batching microbenchmarks (``apps`` ignored)."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps))
-    return assemble(results, apps=apps, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="batching",
         description="Hypercall batching: wrmem strawman vs 64-entry queues",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

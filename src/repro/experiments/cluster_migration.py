@@ -19,7 +19,7 @@ from repro.analysis.tables import format_table
 from repro.errors import ExperimentError
 from repro.experiments import common
 from repro.experiments.registry import Scenario, register
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest, VmRequest
 
 #: The default VM pair: the first-named VM is the one that migrates.
@@ -146,27 +146,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> ClusterMigrationResult:
-    """Regenerate the cluster evacuation comparison."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps))
-    return assemble(results, apps=apps, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="cluster_migration",
         description="Two-host evacuation via pre-copy live migration",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

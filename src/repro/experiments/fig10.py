@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.tables import format_percent, format_table
 from repro.experiments import common, fig7
 from repro.experiments.registry import Scenario, register
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.results import relative_overhead
 from repro.sim.runspec import RunRequest
 
@@ -87,28 +87,12 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> Fig10Result:
-    """Regenerate Figure 10."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps))
-    return assemble(results, apps=apps, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="fig10",
         description="Best-vs-best: Xen+NUMA against LinuxNUMA",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
         reuses=("fig7",),
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

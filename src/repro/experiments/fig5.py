@@ -15,7 +15,7 @@ from repro.analysis.tables import format_table
 from repro.errors import ExperimentError
 from repro.experiments.registry import Scenario, register
 from repro.hypervisor.ipi import IpiModel
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest
 
 #: The paper's measured totals (seconds).
@@ -33,6 +33,11 @@ class Fig5Result:
 
 
 def _reject_apps(apps: Optional[Sequence[str]]) -> None:
+    """Raise ExperimentError for any ``apps`` selection.
+
+    There is nothing per-application here, so a selection is a caller
+    bug, not something to ignore silently.
+    """
     if apps is not None:
         raise ExperimentError(
             "fig5 is a machine microbenchmark; it takes no application "
@@ -80,32 +85,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> Fig5Result:
-    """Regenerate Figure 5 from the IPI model.
-
-    Raises:
-        ExperimentError: ``apps`` is not None — there is nothing
-            per-application here, so a selection is a caller bug, not
-            something to ignore silently.
-    """
-    _reject_apps(apps)
-    return assemble(None, apps=None, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="fig5",
         description="IPI cost repartition, native vs guest (microbenchmark)",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

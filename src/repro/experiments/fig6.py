@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.tables import format_percent, format_table
 from repro.experiments import common, fig2
 from repro.experiments.registry import Scenario, register
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.results import relative_overhead
 from repro.sim.runspec import RunRequest
 
@@ -93,28 +93,12 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> Fig6Result:
-    """Regenerate Figure 6."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps))
-    return assemble(results, apps=apps, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="fig6",
         description="Linux, Xen, Xen+ overhead relative to LinuxNUMA",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
         reuses=("fig2",),
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.tables import format_percent, format_table
 from repro.experiments import common
 from repro.experiments.registry import Scenario, register
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.results import relative_improvement
 from repro.sim.runspec import RunRequest
 
@@ -108,27 +108,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> Fig7Result:
-    """Regenerate Figure 7."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps))
-    return assemble(results, apps=apps, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="fig7",
         description="Xen+ NUMA policy sweep vs the round-1G default",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

@@ -22,9 +22,8 @@ from repro.analysis.tables import format_percent, format_table
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.experiments import common
 from repro.experiments.registry import Scenario, register
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest, VmRequest
-from repro.workloads.suite import get_app
 
 #: The five colocated pairs (the paper's figure labels are not
 #: machine-readable; the text names cg.C + sp.C explicitly, the others
@@ -96,15 +95,8 @@ def pair_run_request(
     return common.pair_request(vms)
 
 
-def best_policy_spec(app_name: str) -> PolicySpec:
-    """The measured best single-VM Xen policy for an application."""
-    app = get_app(app_name)
-    _, label = common.xen_numa_run(app)
-    return PolicySpec.parse(label)
-
-
 def resolved_best_spec(results: ResultSet, app_name: str) -> PolicySpec:
-    """Like :func:`best_policy_spec`, reading the sweep from ``results``."""
+    """The measured best single-VM Xen policy, read from the sweep in ``results``."""
     _, label = common.best_xen_numa(results.one, app_name)
     return PolicySpec.parse(label)
 
@@ -202,28 +194,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    pairs: Optional[List[Tuple[str, str]]] = None,
-    runner: Optional[Runner] = None,
-) -> Fig8Result:
-    """Regenerate Figure 8 (``apps`` ignored; pass ``pairs`` to restrict)."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps, pairs=pairs))
-    return assemble(results, apps=apps, verbose=verbose, pairs=pairs)
-
-
 SCENARIO = register(
     Scenario(
         name="fig8",
         description="Two colocated 24-vCPU VMs: best policy vs round-1G",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

@@ -19,12 +19,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.tables import format_percent, format_table
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.experiments import common
-from repro.experiments.fig8 import best_policy_spec, pair_apps, resolved_best_spec
+from repro.experiments.fig8 import pair_apps, resolved_best_spec
 from repro.experiments.registry import Scenario, register
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest, VmRequest
 
-__all__ = ["DEFAULT_PAIRS", "Fig9Result", "PairResult", "run", "best_policy_spec"]
+__all__ = ["DEFAULT_PAIRS", "Fig9Result", "PairResult", "SCENARIO"]
 
 #: Six consolidated pairs (labels in the paper's figure are garbled; the
 #: pairs cover all imbalance classes).
@@ -159,29 +159,12 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    pairs: Optional[List[Tuple[str, str]]] = None,
-    runner: Optional[Runner] = None,
-) -> Fig9Result:
-    """Regenerate Figure 9 (``apps`` ignored; pass ``pairs`` to restrict)."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps, pairs=pairs))
-    return assemble(results, apps=apps, verbose=verbose, pairs=pairs)
-
-
 SCENARIO = register(
     Scenario(
         name="fig9",
         description="Two consolidated 48-vCPU VMs: best policy vs round-1G",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
         reuses=("fig8",),
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

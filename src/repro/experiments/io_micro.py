@@ -17,7 +17,7 @@ from repro.config import SimConfig
 from repro.experiments.registry import Scenario, register
 from repro.hardware.presets import amd48
 from repro.hypervisor.xen import Hypervisor, XEN_PLUS
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest
 from repro.vio.disk import DiskModel, IoMode, MEASURED_4K_SECONDS
 from repro.vio.dma import DmaEngine
@@ -110,25 +110,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> IoMicroResult:
-    """Regenerate the I/O microbenchmark (``apps`` ignored)."""
-    return assemble(None, apps=None, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="io_micro",
         description="Block-read latency through the three I/O paths",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

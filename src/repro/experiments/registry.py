@@ -14,22 +14,26 @@ unified pipeline needs:
   :class:`~repro.runner.ResultSet` into the experiment's result object.
   Two-stage scenarios (Figures 8-9) resolve follow-up requests through
   the same ``ResultSet``.
-* ``run(apps, verbose, runner)`` — the classic one-call interface:
-  resolve ``required_runs`` through ``runner`` (the process-default
-  serial runner when omitted) and assemble.
+
+:meth:`Scenario.run` is the one entry point that chains the two: it
+resolves ``required_runs`` through a runner (the process-default serial
+runner when omitted) and assembles. The CLI, the report and the tests
+all go through it; the benchmark harness calls the two phases directly.
 
 Modules self-register at import time; :func:`load_all` imports them all,
-so the registry is complete after one call and nothing here imports an
-experiment module at module level (no cycles).
+so the registry is complete after one call and nothing here imports a
+scenario module at module level (no cycles).
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
+from repro.experiments import common
+from repro.runner import Runner
 
 #: Modules that define scenarios, in the paper's presentation order.
 SCENARIO_MODULES: Tuple[str, ...] = (
@@ -64,7 +68,6 @@ class Scenario:
         required_runs: ``(apps=None) -> List[RunRequest]``; empty for
             analytic scenarios that consume no engine runs.
         assemble: ``(results, apps=None, verbose=False) -> result``.
-        run: ``(apps=None, verbose=True, runner=None) -> result``.
         reuses: names of scenarios whose requests this one includes —
             documentation *and* a checkable claim (the CLI's store
             counters show the hits).
@@ -74,8 +77,28 @@ class Scenario:
     description: str
     required_runs: Callable[..., List]
     assemble: Callable[..., object]
-    run: Callable[..., object]
     reuses: Tuple[str, ...] = field(default=())
+
+    def run(
+        self,
+        apps: Optional[Sequence[str]] = None,
+        verbose: bool = True,
+        runner: Optional[Runner] = None,
+        **options: Any,
+    ) -> Any:
+        """Regenerate the experiment: resolve its runs, then assemble.
+
+        Args:
+            apps: application subset (None = the scenario's default).
+            verbose: print the paper-style table/figure.
+            runner: resolves the declared requests; the process-default
+                serial runner (:func:`common.default_runner`) when None.
+            **options: scenario keywords passed to both phases
+                (``pairs`` for Figures 8-9).
+        """
+        runner = runner or common.default_runner()
+        results = runner.resolve(self.required_runs(apps, **options))
+        return self.assemble(results, apps=apps, verbose=verbose, **options)
 
 
 class _ScenarioRegistry:

@@ -67,7 +67,7 @@ times are simulated units; the comparison targets are the paper's
 crossovers are). Microbenchmarks (Table 3, Figure 5, section 2.2) are
 calibration points and match absolutely.
 
-Regenerate any experiment with ``python -m repro.experiments <name>``.
+Regenerate any experiment with ``python -m repro.experiments run <name>``.
 """
 
 TABLE_HEAD = "| claim | paper | measured |\n|---|---|---|"
@@ -78,7 +78,7 @@ def build_report() -> str:
     lines += _scenario_section()
 
     # ------------------------------------------------------- Table 3
-    t3 = table3.run(verbose=False)
+    t3 = table3.SCENARIO.run(verbose=False)
     lines += ["## Table 3 — cache & memory latency (microbenchmark)", "", TABLE_HEAD]
     lines.append(_row("L1/L2/L3 latencies", "5 / 16 / 48 cycles",
                       " / ".join(f"{t3.cache_cycles[k]:.0f}" for k in ("L1", "L2", "L3")) + " cycles"))
@@ -89,8 +89,8 @@ def build_report() -> str:
     lines.append(_row("max relative error", "—", f"{t3.max_relative_error() * 100:.1f}%"))
 
     # ------------------------------------------------------- Figure 5 / IO
-    f5 = fig5.run(verbose=False)
-    io = io_micro.run(verbose=False)
+    f5 = fig5.SCENARIO.run(verbose=False)
+    io = io_micro.SCENARIO.run(verbose=False)
     lines += ["", "## Figure 5 — IPI cost & section 2.2 — block reads", "", TABLE_HEAD]
     lines.append(_row("IPI cost native / guest", "0.9 us / 10.9 us",
                       f"{f5.totals['native'] * 1e6:.1f} us / {f5.totals['guest'] * 1e6:.1f} us"))
@@ -99,7 +99,7 @@ def build_report() -> str:
                       " / ".join(f"{io.block_4k_seconds[m] * 1e6:.0f}" for m in (IoMode.NATIVE, IoMode.PARAVIRT, IoMode.PASSTHROUGH)) + " us"))
 
     # ------------------------------------------------------- Figure 1
-    f1 = fig1.run(verbose=False)
+    f1 = fig1.SCENARIO.run(verbose=False)
     lines += ["", "## Figure 1 — overhead of Xen vs Linux", "", TABLE_HEAD]
     lines.append(_row("max overhead", "~700%", f"{f1.max_overhead * 100:.0f}% "
                       f"({max(f1.overheads, key=f1.overheads.get)})"))
@@ -107,7 +107,7 @@ def build_report() -> str:
     lines.append(_row("apps above 100%", "11 of 29", f"{f1.count_above(1.0)} of 29"))
 
     # ------------------------------------------------------- Figure 2
-    f2 = fig2.run(verbose=False)
+    f2 = fig2.SCENARIO.run(verbose=False)
     lines += ["", "## Figure 2 — Linux NUMA policies vs first-touch", "", TABLE_HEAD]
     lines.append(_row("apps moved >25% best-vs-worst", "17 of 29",
                       f"{f2.count_spread_above(0.25)} of 29"))
@@ -120,7 +120,7 @@ def build_report() -> str:
                       "; ".join(f"{k}: {len(v)}" for k, v in sorted(winners.items()))))
 
     # ------------------------------------------------------- Table 1
-    t1 = table1.run(verbose=False)
+    t1 = table1.SCENARIO.run(verbose=False)
     lines += ["", "## Table 1 — imbalance & interconnect load", "", TABLE_HEAD]
     lines.append(_row("low/moderate/high classification", "11 / 5 / 13 apps",
                       f"class matches paper for {t1.class_matches()} of {len(t1.rows)} apps"))
@@ -134,7 +134,7 @@ def build_report() -> str:
                       f"{by_app['cg.C'].r4k_interconnect * 100:.0f}%"))
 
     # ------------------------------------------------------- Figure 6
-    f6 = fig6.run(verbose=False)
+    f6 = fig6.SCENARIO.run(verbose=False)
     lines += ["", "## Figure 6 — Linux / Xen / Xen+ vs LinuxNUMA", "", TABLE_HEAD]
     lines.append(_row("Xen+ apps above 25% overhead", "20 of 29",
                       f"{f6.count_above('xen+', 0.25)} of 29"))
@@ -144,7 +144,7 @@ def build_report() -> str:
                       f"{f6.count_above('xen+', 1.0)} of 29"))
 
     # ------------------------------------------------------- Figure 7
-    f7 = fig7.run(verbose=False)
+    f7 = fig7.SCENARIO.run(verbose=False)
     lines += ["", "## Figure 7 — Xen policies vs Xen+ (single VM)", "", TABLE_HEAD]
     lines.append(_row("apps improved >100% by best policy", "9 of 29",
                       f"{f7.count_best_above(1.0)} of 29"))
@@ -161,8 +161,8 @@ def build_report() -> str:
                       f"down to {disk_ft * 100:+.0f}% (passthrough forfeited)"))
 
     # ------------------------------------------------------- Figures 8-9
-    f8 = fig8.run(verbose=False)
-    f9 = fig9.run(verbose=False)
+    f8 = fig8.SCENARIO.run(verbose=False)
+    f9 = fig9.SCENARIO.run(verbose=False)
     lines += ["", "## Figures 8-9 — two-VM workloads", "", TABLE_HEAD]
     improved = f8.count_vm_improved_above(0.5) + f9.count_vm_improved_above(0.5)
     total = len(f8.pairs) + len(f9.pairs)
@@ -174,7 +174,7 @@ def build_report() -> str:
                       f"{max(f8.max_degradation(), f9.max_degradation()) * 100:.0f}%"))
 
     # ------------------------------------------------------- Figure 10
-    f10 = fig10.run(verbose=False)
+    f10 = fig10.SCENARIO.run(verbose=False)
     lines += ["", "## Figure 10 — Xen+NUMA vs LinuxNUMA", "", TABLE_HEAD]
     lines.append(_row("apps degraded >50% (Xen+)", "14", str(f10.count_above("xen+", 0.5))))
     lines.append(_row("apps degraded >50% (Xen+NUMA)", "4", str(f10.count_above("xen+numa", 0.5))))
@@ -183,7 +183,7 @@ def build_report() -> str:
                       ", ".join(worst)))
 
     # ------------------------------------------------------- Table 4
-    t4 = table4.run(verbose=False)
+    t4 = table4.SCENARIO.run(verbose=False)
     lines += ["", "## Table 4 — best policies", "", TABLE_HEAD]
     n = len(t4.rows)
     lines.append(_row("Linux winner family agreement", "—",
@@ -192,7 +192,7 @@ def build_report() -> str:
                       f"{t4.xen_family_matches()} of {n}"))
 
     # ------------------------------------------------------- Batching
-    b = batching.run(verbose=False)
+    b = batching.SCENARIO.run(verbose=False)
     lines += ["", "## Sections 4.2.3-4.2.4 — hypercall batching", "", TABLE_HEAD]
     lines.append(_row("wrmem with hypercall per release", "divided by ~3",
                       f"divided by {b.unbatched_slowdown:.1f}"))

@@ -17,7 +17,7 @@ from repro.analysis.metrics import classify_imbalance
 from repro.analysis.tables import format_table
 from repro.experiments import common
 from repro.experiments.registry import Scenario, register
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest
 from repro.workloads.suite import get_app
 
@@ -109,27 +109,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> Table1Result:
-    """Regenerate Table 1 from simulation measurements."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps))
-    return assemble(results, apps=apps, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="table1",
         description="Imbalance and interconnect load of the static policies",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

@@ -16,7 +16,7 @@ from repro.analysis.tables import format_table
 from repro.experiments import common
 from repro.experiments.registry import Scenario, register
 from repro.hardware.presets import amd48
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.calibration import calibrate_app
 from repro.sim.runspec import RunRequest
 from repro.workloads.suite import get_app
@@ -105,27 +105,11 @@ def assemble(
     return out
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> Table2Result:
-    """Regenerate Table 2 (spec vs measured)."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps))
-    return assemble(results, apps=apps, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="table2",
         description="Application behaviour: disk rate, switches, footprint",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.tables import format_table
 from repro.experiments.registry import Scenario, register
 from repro.hardware.presets import amd48
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest
 
 #: The paper's measured values (cycles).
@@ -102,29 +102,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> Table3Result:
-    """Regenerate Table 3 from the hardware model.
-
-    ``apps`` is accepted for interface uniformity and ignored (this is a
-    machine microbenchmark).
-    """
-    return assemble(None, apps=None, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="table3",
         description="Cache and memory latency calibration (microbenchmark)",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from repro.analysis.tables import format_table
 from repro.experiments import common
 from repro.experiments.registry import Scenario, register
-from repro.runner import ResultSet, Runner
+from repro.runner import ResultSet
 from repro.sim.runspec import RunRequest
 from repro.workloads.suite import get_app
 
@@ -105,27 +105,11 @@ def assemble(
     return result
 
 
-def run(
-    apps: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    runner: Optional[Runner] = None,
-) -> Table4Result:
-    """Regenerate Table 4."""
-    runner = runner or common.default_runner()
-    results = runner.resolve(required_runs(apps))
-    return assemble(results, apps=apps, verbose=verbose)
-
-
 SCENARIO = register(
     Scenario(
         name="table4",
         description="Measured best policies vs the paper's, both systems",
         required_runs=required_runs,
         assemble=assemble,
-        run=run,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

@@ -5,7 +5,7 @@ list of :class:`~repro.sim.results.RunResult` the engine produced for that
 request (one per VM). Three backends:
 
 * :class:`~repro.runstore.memory.MemoryRunStore` — a per-process dict,
-  the successor of the old ``experiments.common._CACHE`` memo;
+  the store behind :func:`repro.experiments.common.default_runner`;
 * :class:`~repro.runstore.disk.DiskRunStore` — one JSON file per key
   under a ``.runstore/`` directory, surviving across processes and
   invalidated wholesale when :data:`repro.sim.engine.ENGINE_VERSION`

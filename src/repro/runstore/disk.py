@@ -149,11 +149,19 @@ class DiskRunStore(RunStore):
         Entry and version files only ever appear via an atomic rename, so
         any temp file present when the store is (re)opened belongs to a
         writer that died mid-save and would otherwise be ignored forever.
+        The sweep holds the version lock: version files are staged only
+        under that lock (:meth:`_purge_stale_locked`), so a concurrent
+        opener's in-progress version write is never swept out from under
+        its rename. The unlocked check keeps the common case (no litter)
+        lock-free.
         """
+        if not any(self._tmp_files_on_open()):
+            return 0
         removed = 0
-        for stale in self._tmp_files_on_open():
-            self._discard(stale)
-            removed += 1
+        with self._version_lock():
+            for stale in self._tmp_files_on_open():
+                self._discard(stale)
+                removed += 1
         return removed
 
     # ------------------------------------------------------------------

@@ -12,10 +12,10 @@ from repro.sim.runspec import RunRequest
 class MemoryRunStore(RunStore):
     """Dict-backed store; returns the stored objects themselves.
 
-    ``data`` is deliberately a plain public dict: ``experiments.common``
-    aliases it as the legacy ``_CACHE`` so tests that inspect the memo
-    (key sets, subset relations) keep working, and ``clear()`` empties it
-    *in place* so those aliases stay live.
+    ``data`` is deliberately a plain public dict, so tests can inspect
+    the memo (key sets, subset relations) through the default runner's
+    store, and ``clear()`` empties it *in place* so a held reference
+    stays live.
     """
 
     def __init__(self) -> None:

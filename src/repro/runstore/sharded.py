@@ -110,5 +110,7 @@ class ShardedDiskRunStore(DiskRunStore):
         # crash litter — so the open-time sweep covers only root-level
         # version-file temps, never the shards. Shard litter is swept by
         # ``clear()`` and the engine-version purge, which run when the
-        # store's contents are forfeit anyway.
+        # store's contents are forfeit anyway. Root version temps are safe
+        # to sweep because the sweep holds the version lock, which every
+        # version write holds too (see ``_sweep_stale_tmp``).
         return self.root.glob("engine_version.*.tmp")

@@ -32,7 +32,7 @@ class TestRequiredRuns:
 class TestAssembly:
     def test_result_compares_cluster_against_colocated(self, coarse):
         runner = Runner()
-        result = cluster_migration.run(verbose=False, runner=runner)
+        result = cluster_migration.SCENARIO.run(verbose=False, runner=runner)
         assert set(result.completion) == {"streamcluster", "facesim"}
         for per_app in result.completion.values():
             assert per_app["colocated"] > 0
@@ -44,7 +44,7 @@ class TestAssembly:
 
     def test_second_run_is_served_from_the_store(self, coarse):
         runner = Runner()
-        cluster_migration.run(verbose=False, runner=runner)
+        cluster_migration.SCENARIO.run(verbose=False, runner=runner)
         executed = runner.stats.executed
-        cluster_migration.run(verbose=False, runner=runner)
+        cluster_migration.SCENARIO.run(verbose=False, runner=runner)
         assert runner.stats.executed == executed

@@ -12,12 +12,13 @@ from repro.experiments import (
     fig7,
     fig10,
     io_micro,
+    registry,
     table1,
     table2,
     table3,
     table4,
 )
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import main
 
 #: A small, fast subset covering the three imbalance classes.
 SUBSET = ["swaptions", "bodytrack", "ep.D"]
@@ -32,20 +33,20 @@ def _fresh_cache():
 
 class TestMicrobenchExperiments:
     def test_table3_exact(self):
-        assert table3.run(verbose=False).max_relative_error() < 0.01
+        assert table3.SCENARIO.run(verbose=False).max_relative_error() < 0.01
 
     def test_fig5_totals(self):
-        result = fig5.run(verbose=False)
+        result = fig5.SCENARIO.run(verbose=False)
         assert result.totals["native"] == pytest.approx(0.9e-6)
         assert result.totals["guest"] == pytest.approx(10.9e-6)
 
     def test_io_micro_matches(self):
-        assert io_micro.run(verbose=False).matches_paper()
+        assert io_micro.SCENARIO.run(verbose=False).matches_paper()
 
 
 class TestSubsetExperiments:
     def test_fig1_subset(self, capsys):
-        result = fig1.run(apps=SUBSET)
+        result = fig1.SCENARIO.run(apps=SUBSET)
         assert set(result.overheads) == set(SUBSET)
         out = capsys.readouterr().out
         assert "Figure 1" in out
@@ -53,60 +54,65 @@ class TestSubsetExperiments:
             assert name in out
 
     def test_fig2_subset(self):
-        result = fig2.run(apps=SUBSET, verbose=False)
+        result = fig2.SCENARIO.run(apps=SUBSET, verbose=False)
         assert set(result.improvements) == set(SUBSET)
         for app in SUBSET:
             assert result.spread(app) >= 0.0
 
     def test_table1_subset(self):
-        result = table1.run(apps=SUBSET, verbose=False)
+        result = table1.SCENARIO.run(apps=SUBSET, verbose=False)
         assert len(result.rows) == 3
         by_app = {r.app: r for r in result.rows}
         # swaptions: both placements stay imbalanced (one dominant page).
         assert by_app["swaptions"].r4k_imbalance > 1.0
 
     def test_table2_subset(self):
-        result = table2.run(apps=SUBSET, verbose=False)
+        result = table2.SCENARIO.run(apps=SUBSET, verbose=False)
         assert {r.app for r in result.rows} == set(SUBSET)
 
     def test_table4_subset(self):
-        result = table4.run(apps=SUBSET, verbose=False)
+        result = table4.SCENARIO.run(apps=SUBSET, verbose=False)
         assert len(result.rows) == 3
         for row in result.rows:
             assert row.best_linux
             assert row.best_xen
 
     def test_fig6_fig10_share_runs(self):
-        fig6.run(apps=["swaptions"], verbose=False)
-        before = dict(common._CACHE)
-        fig10.run(apps=["swaptions"], verbose=False)
+        memo = common.default_runner().store.data
+        fig6.SCENARIO.run(apps=["swaptions"], verbose=False)
+        before = dict(memo)
+        fig10.SCENARIO.run(apps=["swaptions"], verbose=False)
         # fig10 reuses fig6's Linux runs (cache only grows by Xen sweeps).
-        assert set(before).issubset(set(common._CACHE))
+        assert set(before).issubset(set(memo))
 
     def test_batching_microbench(self):
-        result = batching.run(verbose=False)
+        result = batching.SCENARIO.run(verbose=False)
         assert result.unbatched_slowdown > 2.0
         assert abs(result.invalidation_share - 0.875) < 0.02
 
 
 class TestRunnersAndCache:
     def test_linux_run_memoised(self):
-        app = common.select_apps(["swaptions"])[0]
-        a = common.linux_run(app, "first-touch")
-        b = common.linux_run(app, "first-touch")
+        request = common.linux_request("swaptions", "first-touch")
+        a = common.default_runner().resolve([request]).one(request)
+        b = common.default_runner().resolve([request]).one(request)
         assert a is b
 
     def test_linux_numa_picks_minimum(self):
-        app = common.select_apps(["swaptions"])[0]
-        best, label = common.linux_numa_run(app)
+        results = common.default_runner().resolve(
+            common.linux_numa_requests("swaptions")
+        )
+        best, label = common.best_linux_numa(results.one, "swaptions")
         for policy, carrefour in common.LINUX_COMBOS:
-            other = common.linux_run(app, policy, carrefour)
+            other = results.one(common.linux_request("swaptions", policy, carrefour))
             assert best.completion_seconds <= other.completion_seconds + 1e-9
         assert label
 
     def test_xen_numa_includes_round_1g(self):
-        app = common.select_apps(["swaptions"])[0]
-        best, label = common.xen_numa_run(app)
+        results = common.default_runner().resolve(
+            common.xen_numa_requests("swaptions")
+        )
+        best, label = common.best_xen_numa(results.one, "swaptions")
         assert label in {s.label for s in common.XEN_POLICIES_ALL}
 
     def test_select_apps_default_is_29(self):
@@ -122,9 +128,10 @@ class TestCli:
         assert main(["fig99"]) == 1
 
     def test_known_names_registered(self):
+        names = set(registry.scenario_names()) | set(registry.ALIASES)
         for name in ("fig1", "table1", "fig7", "batching", "io"):
-            assert name in EXPERIMENTS
+            assert name in names
 
     def test_cli_runs_subset(self, capsys):
-        assert main(["table3"]) == 0
+        assert main(["run", "table3"]) == 0
         assert "Table 3" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Scenario registry, cross-figure reuse, and the pipeline CLI."""
 
+import importlib
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -28,7 +30,10 @@ class TestRegistry:
         for scenario in registry.all_scenarios():
             assert callable(scenario.required_runs)
             assert callable(scenario.assemble)
-            assert callable(scenario.run)
+            # One entry point: the registry's method, no per-module copy.
+            assert scenario.run.__func__ is registry.Scenario.run
+            module = importlib.import_module(f"repro.experiments.{scenario.name}")
+            assert not hasattr(module, "run")
 
 
 class TestCrossFigureReuse:
@@ -56,7 +61,7 @@ class TestCrossFigureReuse:
 class TestFig5AppRejection:
     def test_run_rejects_app_selection(self):
         with pytest.raises(ExperimentError, match="microbenchmark"):
-            fig5.run(apps=["swaptions"], verbose=False)
+            fig5.SCENARIO.run(apps=["swaptions"], verbose=False)
 
     def test_required_runs_rejects_app_selection(self):
         with pytest.raises(ExperimentError):
@@ -64,7 +69,7 @@ class TestFig5AppRejection:
 
     def test_none_is_still_accepted(self):
         assert fig5.SCENARIO.required_runs() == []
-        assert fig5.run(verbose=False).guest_native_ratio > 1.0
+        assert fig5.SCENARIO.run(verbose=False).guest_native_ratio > 1.0
 
 
 class TestCli:
@@ -93,11 +98,18 @@ class TestCli:
         assert "0 misses" in second
         assert "0 executed" in second
 
+    def test_bare_scenario_name_is_not_a_command(self, capsys):
+        assert main(["fig1"]) == 1
+        captured = capsys.readouterr()
+        assert "unknown command 'fig1'" in captured.err
+        assert "run fig1" in captured.err
+        assert "Figure 1" not in captured.out
+
     def test_run_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["run", "fig99", "--quiet"]) == 1
         assert "fig99" in capsys.readouterr().err
 
     def test_parallel_run_matches_serial(self):
-        serial = fig2.run(apps=SUBSET, verbose=False, runner=Runner(jobs=1))
-        parallel = fig2.run(apps=SUBSET, verbose=False, runner=Runner(jobs=2))
+        serial = fig2.SCENARIO.run(apps=SUBSET, verbose=False, runner=Runner(jobs=1))
+        parallel = fig2.SCENARIO.run(apps=SUBSET, verbose=False, runner=Runner(jobs=2))
         assert serial == parallel

@@ -103,11 +103,11 @@ class TestTwoStageScenario:
         pairs = [("cg.C", "sp.C")]
         with common.configured(SimConfig(**FAST_KWARGS)):
             serial_runner = Runner(jobs=1)
-            serial_result = fig8.run(
+            serial_result = fig8.SCENARIO.run(
                 verbose=False, pairs=pairs, runner=serial_runner
             )
             batched_runner = Runner(batch_worlds=4)
-            batched_result = fig8.run(
+            batched_result = fig8.SCENARIO.run(
                 verbose=False, pairs=pairs, runner=batched_runner
             )
         assert batched_runner.stats.batched > 0

@@ -8,7 +8,10 @@ them.
 
 import hashlib
 import json
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.runstore import (
     DiskRunStore,
     MemoryRunStore,
     ShardedDiskRunStore,
+    disk,
     open_store,
 )
 from repro.sim.engine import ENGINE_VERSION
@@ -223,6 +227,44 @@ class TestConcurrentWriters:
             assert final.get(_key(99, index)) is None
         version = (tmp_path / "rs" / "engine_version").read_text().strip()
         assert version == ENGINE_VERSION
+
+    @pytest.mark.parametrize("store_cls", [DiskRunStore, ShardedDiskRunStore])
+    def test_open_during_version_write_keeps_the_staged_file(
+        self, tmp_path, monkeypatch, store_cls
+    ):
+        # Deterministic replay of the stale-opener race: a second open
+        # lands between the purging opener's `mkstemp` of the version
+        # file and its rename. The second opener's litter sweep must wait
+        # for the version lock instead of deleting the staged file.
+        root = tmp_path / "rs"
+        store_cls(root)
+        (root / "engine_version").write_text("0\n")
+        real_replace = os.replace
+        second_open = {}
+
+        def open_again():
+            try:
+                store_cls(root)
+                second_open["ok"] = True
+            except Exception as exc:  # surfaced by the assertion below
+                second_open["error"] = exc
+
+        def replace(src, dst):
+            if Path(src).name.startswith("engine_version.") and not second_open:
+                opener = threading.Thread(target=open_again)
+                opener.start()
+                # The unfixed sweep finishes at once; the fixed one blocks
+                # on the lock this opener holds until the rename is done.
+                opener.join(timeout=1.0)
+                second_open.setdefault("thread", opener)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(disk.os, "replace", replace)
+        first = store_cls(root)
+        second_open["thread"].join()
+        assert first.invalidated_entries() == 0
+        assert second_open.get("ok"), second_open.get("error")
+        assert (root / "engine_version").read_text().strip() == ENGINE_VERSION
 
     def test_entry_payloads_are_valid_json_after_stress(self, tmp_path):
         root = str(tmp_path / "rs")

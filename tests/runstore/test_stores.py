@@ -51,7 +51,7 @@ class TestMemoryStore:
         assert store.stats().misses == 0
 
     def test_clear_keeps_dict_aliases_alive(self):
-        # experiments.common._CACHE aliases this dict; clear() must empty
+        # Callers may hold a reference to this dict; clear() must empty
         # it in place, never rebind it.
         store = MemoryRunStore()
         alias = store.data
