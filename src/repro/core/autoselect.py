@@ -65,7 +65,8 @@ def _throughput(result: RunResult) -> float:
     """Average operation throughput of a (possibly truncated) run."""
     if not result.records:
         return 0.0
-    total_ops = sum(r.ops_done for r in result.records)
+    # Python's left-to-right float sum (np.sum is pairwise: other bits).
+    total_ops = sum(result.records.ops_done.tolist())
     return total_ops / max(1, len(result.records))
 
 

@@ -6,10 +6,10 @@ request (one per VM). Three backends:
 
 * :class:`~repro.runstore.memory.MemoryRunStore` — a per-process dict,
   the store behind :func:`repro.experiments.common.default_runner`;
-* :class:`~repro.runstore.disk.DiskRunStore` — one JSON file per key
-  under a ``.runstore/`` directory, surviving across processes and
-  invalidated wholesale when :data:`repro.sim.engine.ENGINE_VERSION`
-  bumps;
+* :class:`~repro.runstore.disk.DiskRunStore` — one columnar JSON file
+  per key under a ``.runstore/`` directory, surviving across processes
+  and invalidated wholesale when :data:`repro.sim.engine.ENGINE_VERSION`
+  or :data:`repro.runstore.disk.STORE_FORMAT` changes;
 * :class:`~repro.runstore.sharded.ShardedDiskRunStore` — the same JSON
   entries fanned out into hex-prefix shard directories, so many
   concurrent writer processes (the serving layer's worker pool) never

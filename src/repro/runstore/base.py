@@ -19,8 +19,9 @@ class StoreStats:
         hits: ``get`` calls that found stored results.
         misses: ``get`` calls that found nothing.
         entries: keys currently stored.
-        invalidated: entries dropped by an engine-version bump (disk
-            stores only; always 0 for memory stores).
+        invalidated: entries dropped because another engine version or
+            store format wrote them (disk stores only; always 0 for
+            memory stores).
     """
 
     hits: int
@@ -31,7 +32,10 @@ class StoreStats:
     def summary(self) -> str:
         text = f"store: {self.hits} hits, {self.misses} misses, {self.entries} entries"
         if self.invalidated:
-            text += f" ({self.invalidated} invalidated by engine-version bump)"
+            text += (
+                f" ({self.invalidated} invalidated by engine-version"
+                " or store-format change)"
+            )
         return text
 
 
@@ -106,7 +110,7 @@ class RunStore(abc.ABC):
         self.misses = 0
 
     def invalidated_entries(self) -> int:
-        """Entries dropped because of an engine-version mismatch."""
+        """Entries dropped because of an engine-version or store-format mismatch."""
         return 0
 
     # ------------------------------------------------------------------

@@ -3,15 +3,24 @@
 Layout of the store directory (``.runstore/`` by convention)::
 
     .runstore/
-        engine_version          # text file, the version that wrote the runs
+        engine_version          # text file, VERSION_STAMP of the writer
         engine_version.lock     # advisory-lock file guarding the purge
-        <sha256>.json           # {"engine_version", "request", "results"}
+        <sha256>.json           # {"engine_version", "store_format",
+                                #  "request", "results"}
+
+Each entry's ``results`` holds one ``RunResult.to_json(columnar=True)``
+object per VM: the run's header and ``stats``, plus ``"columns"``, one
+JSON list per :class:`~repro.sim.results.EpochRecord` field (seven lists
+of one length). That is :data:`STORE_FORMAT` 2; format 1 kept one dict
+per epoch under ``"records"``, the form the serve wire still uses.
 
 Invalidation is explicit and wholesale: when the directory was written by
-a different :data:`repro.sim.engine.ENGINE_VERSION`, every entry is
-deleted on open (the count is surfaced through ``stats()``), and the
-version file is rewritten. Individual entries additionally carry the
-version so a file copied in from elsewhere cannot resurrect stale runs.
+a different :data:`repro.sim.engine.ENGINE_VERSION` or store format, every
+entry is deleted on open (the count is surfaced through ``stats()``), and
+the version file is rewritten with :data:`VERSION_STAMP`. Individual
+entries additionally carry both numbers, so a file copied in from
+elsewhere cannot resurrect stale runs. An entry of any other shape is a
+miss and is removed, never an exception out of ``get``.
 
 Writes are atomic (unique temp file + rename) so a run killed mid-write
 never leaves a half-entry that would poison later invocations, and two
@@ -51,6 +60,14 @@ from repro.sim.engine import ENGINE_VERSION
 from repro.sim.results import RunResult
 from repro.sim.runspec import RunRequest
 
+#: Layout of the stored payload, versioned apart from ENGINE_VERSION (a
+#: format change invalidates stored runs without any engine change): 1
+#: stored one dict per epoch, 2 stores one list per epoch field.
+STORE_FORMAT = 2
+#: What the version file holds: the engine version and the store format.
+#: Format-1 stores hold the bare engine version.
+VERSION_STAMP = f"{ENGINE_VERSION} format {STORE_FORMAT}"
+
 _VERSION_FILE = "engine_version"
 _LOCK_FILE = "engine_version.lock"
 
@@ -72,7 +89,7 @@ class DiskRunStore(RunStore):
         return self.root / _VERSION_FILE
 
     def _read_version(self) -> Optional[str]:
-        """The recorded engine version, or None (missing/unreadable)."""
+        """The recorded version stamp, or None (missing/unreadable)."""
         try:
             return self._version_path().read_text().strip()
         except OSError:
@@ -94,7 +111,7 @@ class DiskRunStore(RunStore):
             handle.close()
 
     def _write_version(self) -> None:
-        """Atomically record ENGINE_VERSION (mkstemp + rename, like _save).
+        """Atomically record VERSION_STAMP (mkstemp + rename, like _save).
 
         A crash mid-write must never leave a truncated version file: that
         would read as a mismatch and purge a perfectly current store on
@@ -106,14 +123,14 @@ class DiskRunStore(RunStore):
         tmp = Path(tmp_name)
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(ENGINE_VERSION + "\n")
+                handle.write(VERSION_STAMP + "\n")
             os.replace(tmp, self._version_path())
         finally:
             if tmp.exists():  # the write or rename failed mid-way
                 self._discard(tmp)
 
     def _check_engine_version(self) -> int:
-        """Purge the store if it was written by another engine version.
+        """Purge the store if another engine version or store format wrote it.
 
         Double-checked locking: the unlocked read keeps the common case
         (current store) lock-free; on a mismatch the purge runs under the
@@ -122,14 +139,14 @@ class DiskRunStore(RunStore):
         second sees the freshly-written current version and leaves the
         first one's new entries alone.
         """
-        if self._read_version() == ENGINE_VERSION:
+        if self._read_version() == VERSION_STAMP:
             return 0
         with self._version_lock():
             return self._purge_stale_locked()
 
     def _purge_stale_locked(self) -> int:
         """Drop every entry and rewrite the version (lock held)."""
-        if self._read_version() == ENGINE_VERSION:
+        if self._read_version() == VERSION_STAMP:
             return 0  # another process migrated the store while we waited
         dropped = 0
         for entry in self._entry_files():
@@ -210,12 +227,22 @@ class DiskRunStore(RunStore):
         except json.JSONDecodeError:
             self._discard(path)
             return None
-        if not isinstance(payload, dict) or payload.get("engine_version") != ENGINE_VERSION:
+        if (
+            type(payload) is not dict
+            or payload.get("engine_version") != ENGINE_VERSION
+            or payload.get("store_format") != STORE_FORMAT
+        ):
+            self._discard(path)
+            return None
+        entries = payload.get("results")
+        if type(entries) is not list or not all(
+            type(entry) is dict and "columns" in entry for entry in entries
+        ):
             self._discard(path)
             return None
         try:
-            return [RunResult.from_json(r) for r in payload["results"]]
-        except (KeyError, TypeError, ValueError):
+            return [RunResult.from_json(entry) for entry in entries]
+        except (KeyError, TypeError, ValueError, OverflowError):
             self._discard(path)
             return None
 
@@ -229,8 +256,9 @@ class DiskRunStore(RunStore):
     def _save(self, key: str, results: List[RunResult], request: Optional[RunRequest]) -> None:
         payload = {
             "engine_version": ENGINE_VERSION,
+            "store_format": STORE_FORMAT,
             "request": None if request is None else request.to_json(),
-            "results": [r.to_json() for r in results],
+            "results": [r.to_json(columnar=True) for r in results],
         }
         path = self._entry_path(key)
         # A per-writer temp name: concurrent saves of the same key each
@@ -253,7 +281,7 @@ class DiskRunStore(RunStore):
                 os.replace(tmp, path)
                 return
             except FileNotFoundError:
-                # A wholesale purge (engine-version bump) swept our
+                # A wholesale purge (version-stamp change) swept our
                 # staged file between write and rename. Restage once;
                 # losing the race twice means the store is being cleared
                 # out from under us and the entry is forfeit anyway.

@@ -3,11 +3,15 @@
 Layout of the store directory (``.servestore/`` by convention)::
 
     .servestore/
-        engine_version          # at the root: one version for all shards
+        engine_version          # at the root: one VERSION_STAMP for all shards
         engine_version.lock
         ab/<sha256>.json        # entries whose key starts with "ab"
         c1/<sha256>.json
         ...
+
+Each entry has the flat store's shape — ``{"engine_version",
+"store_format", "request", "results"}`` with per-epoch ``"columns"`` in
+every result (see :mod:`repro.runstore.disk` and its ``STORE_FORMAT``).
 
 The flat :class:`~repro.runstore.disk.DiskRunStore` keeps every entry in
 one directory — fine for a CLI invocation, but a serving layer with many
@@ -23,11 +27,12 @@ concurrent writers — across processes — can save into the same shard, or
 the same key, without tearing.
 
 Invalidation semantics are identical to the flat store and shared with
-it (one ``engine_version`` file at the root, the purge under the same
-advisory lock, wholesale on mismatch); a flat store directory opened as
-a sharded store simply migrates entry-by-entry as keys are re-saved —
-old flat entries are not visible through the sharded layout and are
-dropped by ``clear()`` or an engine-version bump.
+it (one ``engine_version`` file at the root holding the engine version
+and store format, the purge under the same advisory lock, wholesale on
+mismatch); a flat store directory opened as a sharded store simply
+migrates entry-by-entry as keys are re-saved — old flat entries are not
+visible through the sharded layout and are dropped by ``clear()`` or a
+version-stamp change.
 """
 
 from __future__ import annotations

@@ -75,8 +75,12 @@ class VmRequest:
     memory_pages: Optional[int] = None
 
     def __post_init__(self):
-        if not self.app:
-            raise RunSpecError("VmRequest needs an application name")
+        if not isinstance(self.app, str) or not self.app:
+            raise RunSpecError(f"VmRequest needs an application name, got {self.app!r}")
+        for name in ("num_vcpus", "memory_pages"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise RunSpecError(f"VmRequest {name} must be an integer, got {value!r}")
         # Accept any integer sequence for the placement fields but store
         # canonical tuples, so equal requests hash and pickle identically.
         object.__setattr__(self, "home_nodes", _tuple_or_none(self.home_nodes))

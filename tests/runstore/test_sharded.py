@@ -205,28 +205,31 @@ class TestConcurrentWriters:
         assert stats.misses == 0
 
     def test_concurrent_stale_openers_purge_once(self, tmp_path):
-        root = str(tmp_path / "rs")
-        seeded = ShardedDiskRunStore(root)
-        for index in range(8):
-            seeded.put(_key(99, index), _results())
-        (tmp_path / "rs" / "engine_version").write_text("0\n")
-        # Eight processes race to open the stale store; each one then
-        # immediately saves a fresh entry. Without the purge lock a slow
-        # opener's wholesale purge deletes entries a fast opener already
-        # re-saved after migrating the store.
-        with ProcessPoolExecutor(max_workers=WRITERS) as pool:
-            outcomes = list(
-                pool.map(_race_opener, [(root, w) for w in range(WRITERS)])
-            )
-        assert all(ok for _, ok in outcomes)
-        final = ShardedDiskRunStore(root)
-        assert final.invalidated_entries() == 0  # already migrated
-        for writer in range(WRITERS):
-            assert final.get(_key(writer, 0)) == _results(marker=float(writer))
-        for index in range(8):  # the stale seed entries are gone
-            assert final.get(_key(99, index)) is None
-        version = (tmp_path / "rs" / "engine_version").read_text().strip()
-        assert version == ENGINE_VERSION
+        # Stale twice over: another engine version, and the current
+        # engine with the format-1 store (a format-only mismatch).
+        for stale in ("0", ENGINE_VERSION):
+            root = tmp_path / f"rs-{stale}"
+            seeded = ShardedDiskRunStore(root)
+            for index in range(8):
+                seeded.put(_key(99, index), _results())
+            (root / "engine_version").write_text(stale + "\n")
+            # Eight processes race to open the stale store; each one then
+            # immediately saves a fresh entry. Without the purge lock a
+            # slow opener's wholesale purge deletes entries a fast opener
+            # already re-saved after migrating the store.
+            with ProcessPoolExecutor(max_workers=WRITERS) as pool:
+                outcomes = list(
+                    pool.map(_race_opener, [(str(root), w) for w in range(WRITERS)])
+                )
+            assert all(ok for _, ok in outcomes)
+            final = ShardedDiskRunStore(root)
+            assert final.invalidated_entries() == 0  # already migrated
+            for writer in range(WRITERS):
+                assert final.get(_key(writer, 0)) == _results(marker=float(writer))
+            for index in range(8):  # the stale seed entries are gone
+                assert final.get(_key(99, index)) is None
+            version = (root / "engine_version").read_text().strip()
+            assert version == disk.VERSION_STAMP
 
     @pytest.mark.parametrize("store_cls", [DiskRunStore, ShardedDiskRunStore])
     def test_open_during_version_write_keeps_the_staged_file(
@@ -264,7 +267,7 @@ class TestConcurrentWriters:
         second_open["thread"].join()
         assert first.invalidated_entries() == 0
         assert second_open.get("ok"), second_open.get("error")
-        assert (root / "engine_version").read_text().strip() == ENGINE_VERSION
+        assert (root / "engine_version").read_text().strip() == disk.VERSION_STAMP
 
     def test_entry_payloads_are_valid_json_after_stress(self, tmp_path):
         root = str(tmp_path / "rs")
@@ -275,4 +278,5 @@ class TestConcurrentWriters:
         for path in store._entry_files():
             payload = json.loads(path.read_text())
             assert payload["engine_version"] == ENGINE_VERSION
+            assert payload["store_format"] == disk.STORE_FORMAT
             assert isinstance(payload["results"], list)

@@ -4,9 +4,13 @@ import json
 
 import pytest
 
-from repro.runstore import DiskRunStore, MemoryRunStore, open_store
-from repro.sim.results import RunResult
+from repro.runstore import DiskRunStore, MemoryRunStore, ShardedDiskRunStore, open_store
+from repro.runstore.disk import STORE_FORMAT, VERSION_STAMP
+from repro.sim.engine import ENGINE_VERSION
+from repro.sim.results import EpochRecord, RunResult
 from repro.sim.runspec import RunRequest, VmRequest
+
+from tests.properties.records_oracle import RowResult
 
 KEY = "a" * 64
 OTHER = "b" * 64
@@ -306,6 +310,135 @@ class TestTransientReadErrors:
         (root / f"{KEY}.json").write_text('{"engine_version": 3}')  # wrong shape
         assert store.get(KEY) is None
         assert not (root / f"{KEY}.json").exists()
+
+
+def _recorded_results():
+    """One result with three epochs of records (non-empty columns)."""
+    return [
+        RunResult(
+            app="cg.C",
+            environment="xen+",
+            policy="Round-4K",
+            completion_seconds=3.25,
+            epochs=3,
+            records=[
+                EpochRecord(e, 100.0 + e, 0.5, 0.125, 0.75, 0.01 * e, e)
+                for e in range(3)
+            ],
+            stats={"faults": 7.0},
+        )
+    ]
+
+
+def _columns(payload):
+    return payload["results"][0]["columns"]
+
+
+def _set_column_value(name, value):
+    def mutate(payload):
+        _columns(payload)[name][0] = value
+
+    return mutate
+
+
+def _rows_instead_of_columns(payload):
+    result = payload["results"][0]
+    del result["columns"]
+    result["records"] = [{"epoch": 0, "ops_done": 1.0, "imbalance": 0.0,
+                          "max_link_rho": 0.0, "local_fraction": 1.0}]
+
+
+#: Entries of the current version stamp whose shape is wrong anywhere.
+MALFORMED = {
+    "stats-is-a-list": lambda p: p["results"][0].update(stats=[]),
+    "stats-is-a-string": lambda p: p["results"][0].update(stats="x"),
+    "results-not-a-list": lambda p: p.update(results={"a": 1}),
+    "result-not-an-object": lambda p: p.update(results=[1]),
+    "result-without-app": lambda p: p["results"][0].pop("app"),
+    "epochs-infinite": lambda p: p["results"][0].update(epochs=float("inf")),
+    "rows-instead-of-columns": _rows_instead_of_columns,
+    "columns-not-an-object": lambda p: p["results"][0].update(columns=[[0]]),
+    "column-missing": lambda p: _columns(p).pop("migrations"),
+    "column-extra": lambda p: _columns(p).update(extra=[0, 1, 2]),
+    "column-not-a-list": lambda p: _columns(p).update(epoch=3),
+    "columns-unequal-length": lambda p: _columns(p)["epoch"].append(3),
+    "string-value": _set_column_value("ops_done", "1.5"),
+    "bool-value": _set_column_value("imbalance", True),
+    "null-value": _set_column_value("local_fraction", None),
+    "nested-value": _set_column_value("max_link_rho", [0.5]),
+    "float-in-int-column": _set_column_value("epoch", 1.5),
+    "int-overflow": _set_column_value("migrations", 2 ** 70),
+}
+
+
+class TestMalformedEntries:
+    """Any wrong shape behind a current version stamp is a discarded miss.
+
+    ``stats: []`` used to raise a bare ``AttributeError`` out of ``get``
+    (and, on the serve path, out of a submit).
+    """
+
+    @pytest.mark.parametrize("store_cls", [DiskRunStore, ShardedDiskRunStore])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_malformed_entry_is_a_miss_and_removed(self, tmp_path, store_cls, shape):
+        store = store_cls(tmp_path / "rs")
+        store.put(KEY, _recorded_results())
+        entry = store._entry_path(KEY)
+        payload = json.loads(entry.read_text())
+        MALFORMED[shape](payload)
+        entry.write_text(json.dumps(payload))
+        assert store.get(KEY) is None
+        assert not entry.exists()
+        assert store.stats().misses == 1
+
+    @pytest.mark.parametrize("store_cls", [DiskRunStore, ShardedDiskRunStore])
+    def test_well_formed_entry_reads_back(self, tmp_path, store_cls):
+        store = store_cls(tmp_path / "rs")
+        store.put(KEY, _recorded_results())
+        payload = json.loads(store._entry_path(KEY).read_text())
+        assert payload["store_format"] == STORE_FORMAT
+        assert "records" not in payload["results"][0]
+        assert store.get(KEY) == _recorded_results()
+
+
+def _format1_entry(results):
+    """A stored entry as the row-format (format 1) writer left it."""
+    rows = [RowResult.from_json(r.to_json()).to_json() for r in results]
+    return {"engine_version": ENGINE_VERSION, "request": None, "results": rows}
+
+
+class TestStoreFormatUpgrade:
+    @pytest.mark.parametrize("store_cls", [DiskRunStore, ShardedDiskRunStore])
+    def test_format1_store_is_purged_once_on_open(self, tmp_path, store_cls):
+        root = tmp_path / "rs"
+        store = store_cls(root)
+        entry = store._entry_path(KEY)
+        entry.write_text(json.dumps(_format1_entry(_recorded_results())))
+        (root / "engine_version").write_text(ENGINE_VERSION + "\n")  # format 1
+        upgraded = store_cls(root)
+        assert upgraded.invalidated_entries() == 1
+        assert upgraded.stats().invalidated == 1
+        assert len(upgraded) == 0 and not entry.exists()
+        assert (root / "engine_version").read_text().strip() == VERSION_STAMP
+        upgraded.put(KEY, _recorded_results())
+        again = store_cls(root)
+        assert again.invalidated_entries() == 0
+        assert again.get(KEY) == _recorded_results()
+
+    @pytest.mark.parametrize("store_cls", [DiskRunStore, ShardedDiskRunStore])
+    def test_copied_in_format1_entry_is_a_miss_and_removed(self, tmp_path, store_cls):
+        store = store_cls(tmp_path / "rs")
+        entry = store._entry_path(KEY)
+        entry.write_text(json.dumps(_format1_entry(_recorded_results())))
+        assert store.get(KEY) is None
+        assert not entry.exists()
+
+    def test_summary_names_both_causes(self, tmp_path):
+        root = tmp_path / "rs"
+        DiskRunStore(root).put(KEY, _results())
+        (root / "engine_version").write_text(ENGINE_VERSION + "\n")
+        summary = DiskRunStore(root).stats().summary()
+        assert "1 invalidated by engine-version or store-format change" in summary
 
 
 class TestOpenStore:

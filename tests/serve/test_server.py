@@ -334,6 +334,22 @@ class TestEndToEnd:
             thread.join(timeout=30)
         assert not thread.is_alive()
 
+    def test_ill_typed_submit_is_rejected_as_bad_request(self):
+        thread, host, port = _start_server(MemoryRunStore())
+        payload = self.REQUESTS[0].to_json()
+        payload["vms"][0]["app"] = [[1]]
+        try:
+            with ServeClient(host, port, timeout=60) as client:
+                client._send({"op": "submit", "id": 0, "request": payload})
+                reply = client._recv()
+                assert reply["op"] == "reject"
+                assert reply["error"] == protocol.ERR_BAD_REQUEST
+                assert client.stats()["counters"]["executed"] == 0
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
     def test_shutdown_bye_arrives_after_drain(self):
         thread, host, port = _start_server(MemoryRunStore())
         with ServeClient(host, port) as client:

@@ -1,10 +1,10 @@
-"""RunResult/EpochRecord JSON round-trips must be exact (bit-for-bit)."""
+"""RunResult/EpochRecords JSON round-trips must be exact (bit-for-bit)."""
 
 import json
 
 from repro.config import SimConfig
 from repro.runner import execute_request
-from repro.sim.results import EpochRecord, RunResult
+from repro.sim.results import EpochRecord, EpochRecords, RunResult
 from repro.sim.runspec import RunRequest, VmRequest
 
 
@@ -28,12 +28,17 @@ class TestEpochRecordJson:
             policy_cost_seconds=3.3333333333333335,
             migrations=17,
         )
-        assert EpochRecord.from_json(record.to_json()) == record
+        records = EpochRecords([record])
+        assert EpochRecords.from_rows(records.rows_json()) == [record]
+        assert EpochRecords.from_columns(records.columns_json()) == [record]
 
     def test_round_trip_through_text(self):
         record = EpochRecord(1, 2.5, 0.25, 0.125, 0.75)
-        text = json.dumps(record.to_json())
-        assert EpochRecord.from_json(json.loads(text)) == record
+        records = EpochRecords([record])
+        rows = json.loads(json.dumps(records.rows_json()))
+        assert EpochRecords.from_rows(rows) == [record]
+        columns = json.loads(json.dumps(records.columns_json()))
+        assert EpochRecords.from_columns(columns) == [record]
 
 
 class TestRunResultJson:

@@ -157,6 +157,32 @@ class TestValidation:
             )
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("app", [[1]]),
+            ("app", 7),
+            ("num_vcpus", "4"),
+            ("num_vcpus", [[1]]),
+            ("num_vcpus", True),
+            ("num_vcpus", 4.0),
+            ("memory_pages", [[1]]),
+            ("memory_pages", "64"),
+        ],
+    )
+    def test_from_json_rejects_ill_typed_vm_fields(self, field, value):
+        # Typed at the boundary: an ill-typed field used to pass here and
+        # surface as a bare TypeError once the request executed.
+        payload = _xen(num_vcpus=4, memory_pages=64).to_json()
+        payload["vms"][0][field] = value
+        with pytest.raises(RunSpecError):
+            RunRequest.from_json(payload)
+
+    def test_well_typed_vm_fields_are_accepted(self):
+        request = _xen(num_vcpus=4, memory_pages=64)
+        assert RunRequest.from_json(request.to_json()) == request
+
+
 class TestNormalization:
     def test_sequences_become_tuples(self):
         vm = VmRequest(
