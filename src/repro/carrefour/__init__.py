@@ -10,15 +10,17 @@ balance memory controllers and improve locality. The original splits into:
 The paper's port (section 4.3) keeps the split: the system component runs
 *inside Xen* and observes vCPUs instead of threads; the user component runs
 as a dom0 process and talks to it through a forwarded hypercall.
+
+Linux and the Xen port share one decision path: each hands its
+:class:`SystemComponent` a batch placement lookup (vpfns via the Linux
+frame map, gpfns via the p2m), and :meth:`UserComponent.decide` picks
+pages with the heuristics' masks over the columnar hot-page samples.
 """
 
 from repro.carrefour.metrics import CarrefourMetrics, compute_metrics
 from repro.carrefour.heuristics import (
     Action,
     PageDecision,
-    interleave_decisions,
-    migration_decisions,
-    replication_decisions,
 )
 from repro.carrefour.engine import (
     CarrefourConfig,
@@ -32,9 +34,6 @@ __all__ = [
     "compute_metrics",
     "Action",
     "PageDecision",
-    "interleave_decisions",
-    "migration_decisions",
-    "replication_decisions",
     "CarrefourConfig",
     "CarrefourEngine",
     "SystemComponent",

@@ -21,18 +21,15 @@ from repro import obs
 from repro.carrefour.heuristics import (
     Action,
     PageDecision,
-    PlacementFn,
     interleave_candidates,
-    interleave_decisions,
     migration_candidates,
-    migration_decisions,
     replication_candidates,
-    replication_decisions,
     sample_arrays,
 )
 from repro.carrefour.metrics import CarrefourMetrics, compute_metrics
 from repro.core.policies.base import EpochObservation
 from repro.hardware.counters import HotPageSample, PerfCounters
+from repro.obs.metrics import cell_attr
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,18 @@ class UserComponent:
         self,
         metrics: CarrefourMetrics,
         hot_pages: Sequence[HotPageSample],
-        placement: PlacementFn,
-        placement_many=None,
+        placement_many: Callable[[np.ndarray], np.ndarray],
     ) -> IterationResult:
-        """Choose heuristics from the global metrics, then pick pages."""
+        """Choose heuristics from the global metrics, then pick pages.
+
+        ``placement_many`` maps a page array to each page's current node
+        (-1 where unmapped). Pages are picked by masks over the sample
+        columns, walked in sample order: candidates count against the
+        budget before cross-heuristic dedup, the first occurrence of a
+        page wins, and the interleave targets are drawn as one array —
+        ``rng.integers(n, size=k)`` consumes the stream exactly like
+        ``k`` sequential scalar draws.
+        """
         result = IterationResult(metrics=metrics)
         if metrics.access_rate_per_s < self.config.min_access_rate_per_s:
             return result
@@ -108,72 +113,11 @@ class UserComponent:
         )
         result.migration_enabled = congested
         result.replication_enabled = congested and self.config.enable_replication
+        if not hot_pages:
+            return result
 
-        if placement_many is not None and hot_pages:
-            pages, domains, accesses, write_fraction = sample_arrays(hot_pages)
-            nodes = placement_many(pages)
-            if nodes is not None:
-                self._decide_batch(
-                    result, metrics, pages, domains, accesses,
-                    write_fraction, np.asarray(nodes),
-                )
-                return result
-
-        budget = self.config.migration_budget
-        decided_pages = set()
-
-        def remaining() -> int:
-            return budget - len(result.decisions)
-
-        if result.replication_enabled and remaining() > 0:
-            for decision in replication_decisions(
-                hot_pages, placement, remaining()
-            ):
-                result.decisions.append(decision)
-                decided_pages.add(decision.page)
-
-        if result.migration_enabled and remaining() > 0:
-            for decision in migration_decisions(
-                hot_pages,
-                placement,
-                remaining(),
-                self.config.single_node_share,
-            ):
-                if decision.page not in decided_pages:
-                    result.decisions.append(decision)
-                    decided_pages.add(decision.page)
-
-        if result.interleave_enabled and remaining() > 0:
-            candidates = [s for s in hot_pages if s.page not in decided_pages]
-            for decision in interleave_decisions(
-                candidates,
-                placement,
-                metrics.overloaded_nodes,
-                metrics.underloaded_nodes,
-                remaining(),
-                self.rng,
-            ):
-                result.decisions.append(decision)
-                decided_pages.add(decision.page)
-        return result
-
-    def _decide_batch(
-        self,
-        result: IterationResult,
-        metrics: CarrefourMetrics,
-        pages: np.ndarray,
-        domains: np.ndarray,
-        accesses: np.ndarray,
-        write_fraction: np.ndarray,
-        nodes: np.ndarray,
-    ) -> None:
-        """Mask-based page selection, decision-for-decision identical to
-        the scalar loops: same budget consumption (candidates count
-        against the budget before cross-heuristic dedup, as in the scalar
-        walk), same first-occurrence dedup order, and the interleave RNG
-        drawn as one array — ``rng.integers(n, size=k)`` consumes the
-        stream exactly like ``k`` sequential scalar draws.
-        """
+        pages, domains, accesses, write_fraction = sample_arrays(hot_pages)
+        nodes = np.asarray(placement_many(pages))
         budget = self.config.migration_budget
         decisions = result.decisions
         decided: set = set()
@@ -234,6 +178,7 @@ class UserComponent:
                             Action.INTERLEAVE, int(dst),
                         )
                     )
+        return result
 
 
 def _owner_callback(callback):
@@ -250,14 +195,11 @@ class SystemComponent:
         counters: the machine's performance counters; the component claims
             them exclusively — this is why the paper's Table 1 could not
             measure its metrics while Carrefour ran.
-        placement: resolves a page to its current node.
+        placement_many: resolves a page array to each page's current
+            node, -1 where unmapped.
         apply_fn: executes one decision (a p2m migration in the Xen port,
             a direct page move in Linux mode); returns True when the page
             actually moved.
-        placement_many: optional batch form of ``placement`` — takes a
-            page array, returns per-page nodes with -1 for unmapped (or
-            None when batch resolution is unavailable, falling back to
-            the scalar walk).
 
     Callbacks that are bound methods are held weakly: their object (a
     Carrefour policy, the Linux NUMA mode) owns this component through
@@ -270,48 +212,29 @@ class SystemComponent:
     def __init__(
         self,
         counters: PerfCounters,
-        placement: PlacementFn,
+        placement_many: Callable[[np.ndarray], np.ndarray],
         apply_fn: Callable[[PageDecision], bool],
-        placement_many=None,
     ):
         self.counters = counters
-        self._placement = _owner_callback(placement)
-        self._apply_fn = _owner_callback(apply_fn)
         self._placement_many = _owner_callback(placement_many)
+        self._apply_fn = _owner_callback(apply_fn)
         reg = obs.registry()
         self._total_applied = reg.counter("carrefour.applied")
         self._total_commands = reg.counter("carrefour.commands")
         counters.claim(self.OWNER)
 
     @property
-    def placement(self) -> PlacementFn:
-        return self._placement()
-
-    @property
     def apply_fn(self) -> Callable[[PageDecision], bool]:
         return self._apply_fn()
 
     @property
-    def placement_many(self):
+    def placement_many(self) -> Callable[[np.ndarray], np.ndarray]:
         return self._placement_many()
 
-    @property
-    def total_applied(self) -> int:
-        """Decisions that actually moved a page."""
-        return self._total_applied.value
-
-    @total_applied.setter
-    def total_applied(self, value: int) -> None:
-        self._total_applied.value = value
-
-    @property
-    def total_commands(self) -> int:
-        """Decisions received from the user component."""
-        return self._total_commands.value
-
-    @total_commands.setter
-    def total_commands(self, value: int) -> None:
-        self._total_commands.value = value
+    #: Decisions that actually moved a page.
+    total_applied = cell_attr("_total_applied")
+    #: Decisions received from the user component.
+    total_commands = cell_attr("_total_commands")
 
     def apply(self, decisions: Sequence[PageDecision]) -> int:
         """Execute a command batch from the user component."""
@@ -362,7 +285,6 @@ class CarrefourEngine:
         result = self.user.decide(
             metrics,
             observation.hot_pages,
-            self.system.placement,
             self.system.placement_many,
         )
         if result.decisions:

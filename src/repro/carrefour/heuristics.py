@@ -8,13 +8,19 @@
   nodes. The paper implements but *discards* this heuristic in the Xen
   port (marginal gains, deep memory-manager changes), so our engine ships
   it disabled by default.
+
+Each heuristic is a boolean mask over the columnar sample arrays
+(``*_candidates``); :meth:`repro.carrefour.engine.UserComponent.decide`
+walks the masks in sample order under the migration budget. The
+original per-sample walks are kept as a test-only oracle
+(``tests/carrefour/decide_oracle.py``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,15 +52,11 @@ class PageDecision:
     dst_node: int
 
 
-#: Returns the node currently backing a page (None if unmapped).
-PlacementFn = Callable[[int], Optional[int]]
-
-
 def sample_arrays(hot_pages: Sequence[HotPageSample]):
     """Columnar arrays over a hot-page sample list.
 
-    The vectorized decide path works on these instead of per-sample
-    attribute access: returns ``(pages, domains, accesses, write_fraction)``
+    The decide path works on these instead of per-sample attribute
+    access: returns ``(pages, domains, accesses, write_fraction)``
     where ``accesses`` is the (num_samples, num_nodes) count matrix. A
     columnar :class:`HotPageSamples` hands back its own (frozen) arrays.
     """
@@ -80,11 +82,12 @@ def sample_arrays(hot_pages: Sequence[HotPageSample]):
 def migration_candidates(
     accesses: np.ndarray, nodes: np.ndarray, single_node_share: float
 ):
-    """Mask form of :func:`migration_decisions`'s per-sample filter.
+    """Pages remotely accessed by (essentially) a single node.
 
-    Returns ``(mask, dominant)``: which samples a scalar walk would pick
-    (dominant node holds at least ``single_node_share`` of the accesses
-    and the page lives elsewhere), and each sample's dominant node.
+    Returns ``(mask, dominant)``: the samples whose dominant node holds at
+    least ``single_node_share`` of the accesses while the page lives
+    elsewhere (unmapped pages, node -1, never qualify), and each sample's
+    dominant node — the migration target.
     """
     totals = accesses.sum(axis=1)
     dominant = np.argmax(accesses, axis=1)
@@ -101,7 +104,7 @@ def migration_candidates(
 def interleave_candidates(
     nodes: np.ndarray, overloaded: Sequence[int]
 ) -> np.ndarray:
-    """Mask form of :func:`interleave_decisions`'s per-sample filter."""
+    """Mapped pages that live on an overloaded node."""
     return (nodes >= 0) & np.isin(
         nodes, np.asarray(list(overloaded), dtype=np.int64)
     )
@@ -114,97 +117,14 @@ def replication_candidates(
     max_write_fraction: float = 0.05,
     min_sharer_nodes: int = 2,
 ) -> np.ndarray:
-    """Mask form of :func:`replication_decisions`'s per-sample filter."""
+    """Mapped, (almost) read-only pages shared by several nodes.
+
+    Kept for completeness and for the ablation benchmark; the engine
+    disables replication by default, like the paper's Xen port.
+    """
     sharers = (accesses > 0).sum(axis=1)
     return (
         (write_fraction <= max_write_fraction)
         & (sharers >= min_sharer_nodes)
         & (nodes >= 0)
     )
-
-
-def migration_decisions(
-    hot_pages: Sequence[HotPageSample],
-    placement: PlacementFn,
-    budget: int,
-    single_node_share: float = 0.9,
-) -> List[PageDecision]:
-    """Migrate pages remotely accessed by (essentially) a single node.
-
-    A page qualifies when one node performs at least ``single_node_share``
-    of its accesses and the page does not already live there.
-    """
-    decisions: List[PageDecision] = []
-    for sample in hot_pages:
-        if len(decisions) >= budget:
-            break
-        total = sample.total
-        if total == 0:
-            continue
-        dominant = sample.dominant_node
-        if sample.node_accesses[dominant] < single_node_share * total:
-            continue
-        current = placement(sample.page)
-        if current is None or current == dominant:
-            continue
-        decisions.append(
-            PageDecision(sample.page, sample.domain_id, Action.MIGRATE, dominant)
-        )
-    return decisions
-
-
-def interleave_decisions(
-    hot_pages: Sequence[HotPageSample],
-    placement: PlacementFn,
-    overloaded: Sequence[int],
-    underloaded: Sequence[int],
-    budget: int,
-    rng: np.random.Generator,
-) -> List[PageDecision]:
-    """Randomly spread hot pages from overloaded to underloaded nodes."""
-    if not overloaded or not underloaded:
-        return []
-    overloaded_set = set(overloaded)
-    targets = list(underloaded)
-    decisions: List[PageDecision] = []
-    for sample in hot_pages:
-        if len(decisions) >= budget:
-            break
-        current = placement(sample.page)
-        if current is None or current not in overloaded_set:
-            continue
-        dst = int(targets[rng.integers(len(targets))])
-        decisions.append(
-            PageDecision(sample.page, sample.domain_id, Action.INTERLEAVE, dst)
-        )
-    return decisions
-
-
-def replication_decisions(
-    hot_pages: Sequence[HotPageSample],
-    placement: PlacementFn,
-    budget: int,
-    max_write_fraction: float = 0.05,
-    min_sharer_nodes: int = 2,
-) -> List[PageDecision]:
-    """Replicate hot, (almost) read-only pages shared by several nodes.
-
-    Kept for completeness and for the ablation benchmark; the engine
-    disables it by default, like the paper's Xen port.
-    """
-    decisions: List[PageDecision] = []
-    for sample in hot_pages:
-        if len(decisions) >= budget:
-            break
-        if sample.write_fraction > max_write_fraction:
-            continue
-        sharer_nodes = sum(1 for c in sample.node_accesses if c > 0)
-        if sharer_nodes < min_sharer_nodes:
-            continue
-        current = placement(sample.page)
-        if current is None:
-            continue
-        decisions.append(
-            PageDecision(sample.page, sample.domain_id, Action.REPLICATE, current)
-        )
-    return decisions

@@ -172,14 +172,8 @@ class InternalInterface:
             return None
         return self.machine.node_of_frame(entry.mfn)
 
-    def nodes_of_gpfns(self, domain: Domain, gpfns) -> Optional[np.ndarray]:
-        """Batch :meth:`node_of_gpfn`: node per gpfn, -1 where unmapped.
-
-        Returns None when the domain's p2m has no frame geometry attached
-        (callers then fall back to per-page lookups).
-        """
-        if domain.p2m.frames_per_node is None:
-            return None
+    def nodes_of_gpfns(self, domain: Domain, gpfns) -> np.ndarray:
+        """Batch :meth:`node_of_gpfn`: node per gpfn, -1 where unmapped."""
         return domain.p2m.nodes_of(gpfns)
 
     def take_migration_seconds(self) -> float:

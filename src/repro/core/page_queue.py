@@ -37,6 +37,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import HypercallError
+from repro.obs.metrics import cell_attr
 
 
 class PageOp(enum.Enum):
@@ -133,53 +134,12 @@ class QueueStats:
         #: Seconds spent appending entries (lock held, no hypercall).
         self._append_hold = reg.counter("queue.append_hold_seconds", value=0.0)
 
-    @property
-    def events(self) -> int:
-        return self._events.value
-
-    @events.setter
-    def events(self, value: int) -> None:
-        self._events.value = value
-
-    @property
-    def flushes(self) -> int:
-        return self._flushes.value
-
-    @flushes.setter
-    def flushes(self, value: int) -> None:
-        self._flushes.value = value
-
-    @property
-    def flushed_events(self) -> int:
-        return self._flushed.value
-
-    @flushed_events.setter
-    def flushed_events(self, value: int) -> None:
-        self._flushed.value = value
-
-    @property
-    def lock_acquisitions(self) -> int:
-        return self._locks.value
-
-    @lock_acquisitions.setter
-    def lock_acquisitions(self, value: int) -> None:
-        self._locks.value = value
-
-    @property
-    def flush_hold_seconds(self) -> float:
-        return self._flush_hold.value
-
-    @flush_hold_seconds.setter
-    def flush_hold_seconds(self, value: float) -> None:
-        self._flush_hold.value = value
-
-    @property
-    def append_hold_seconds(self) -> float:
-        return self._append_hold.value
-
-    @append_hold_seconds.setter
-    def append_hold_seconds(self, value: float) -> None:
-        self._append_hold.value = value
+    events = cell_attr("_events")
+    flushes = cell_attr("_flushes")
+    flushed_events = cell_attr("_flushed")
+    lock_acquisitions = cell_attr("_locks")
+    flush_hold_seconds = cell_attr("_flush_hold")
+    append_hold_seconds = cell_attr("_append_hold")
 
     @property
     def events_per_flush(self) -> float:

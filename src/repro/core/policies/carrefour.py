@@ -56,9 +56,8 @@ class CarrefourPolicy(NumaPolicy):
         self._current_domain: Callable[[], Optional[Domain]] = lambda: None
         system = SystemComponent(
             counters=internal.machine.counters,
-            placement=self._placement,
-            apply_fn=self._apply_decision,
             placement_many=self._placement_many,
+            apply_fn=self._apply_decision,
         )
         self.engine = CarrefourEngine(
             system=system,
@@ -120,16 +119,10 @@ class CarrefourPolicy(NumaPolicy):
     # ------------------------------------------------------------------
     # System component callbacks
 
-    def _placement(self, page: int) -> Optional[int]:
+    def _placement_many(self, pages: np.ndarray) -> np.ndarray:
         domain = self._current_domain()
         if domain is None:
-            return None
-        return self.internal.node_of_gpfn(domain, page)
-
-    def _placement_many(self, pages) -> Optional[np.ndarray]:
-        domain = self._current_domain()
-        if domain is None:
-            return None
+            return np.full(len(pages), -1, dtype=np.int64)
         return self.internal.nodes_of_gpfns(domain, pages)
 
     def _apply_decision(self, decision: PageDecision) -> bool:

@@ -75,7 +75,7 @@ class LinuxNumaMode:
         if carrefour:
             system = SystemComponent(
                 counters=machine.counters,
-                placement=self.node_of_page,
+                placement_many=self.nodes_of_pages,
                 apply_fn=self._apply_decision,
             )
             self.engine = CarrefourEngine(
@@ -115,10 +115,6 @@ class LinuxNumaMode:
         self.allocator.free(mfn)
         return True
 
-    def forget_page(self, vpfn: int) -> None:
-        """Remove a vpfn from the placement map (after munmap)."""
-        self._frames.pop(vpfn, None)
-
     # ------------------------------------------------------------------
     # Carrefour plumbing
 
@@ -128,6 +124,17 @@ class LinuxNumaMode:
         if mfn is None:
             return None
         return self.machine.node_of_frame(mfn)
+
+    def nodes_of_pages(self, pages: np.ndarray) -> np.ndarray:
+        """Batch :meth:`node_of_page`: node per vpfn, -1 where unmapped."""
+        mfns = np.array(
+            [self._frames.get(p, -1) for p in pages.tolist()],
+            dtype=np.int64,
+        )
+        nodes = np.full(mfns.shape, -1, dtype=np.int64)
+        mapped = mfns >= 0
+        nodes[mapped] = self.machine.nodes_of_frames(mfns[mapped])
+        return nodes
 
     def on_epoch(self, observation: EpochObservation) -> float:
         """Run one Carrefour iteration (no-op without the daemon)."""

@@ -70,11 +70,6 @@ class Interconnect:
         link_bytes = byte_matrix.reshape(-1) @ self.route_incidence()
         self.record_link_bytes(link_bytes.tolist())
 
-    def record_route(self, route: Iterable[Link], nbytes: int) -> None:
-        """Account traffic on a precomputed route (hot path for the engine)."""
-        for link in route:
-            self._bytes[link.key] += nbytes
-
     def bytes_on(self, link: Link) -> int:
         """Bytes accounted on ``link`` this epoch."""
         return self._bytes[link.key]

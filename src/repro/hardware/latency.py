@@ -147,14 +147,6 @@ class LatencyModel:
             return float(out)
         return out
 
-    def memory_latency_seconds(
-        self, hops, rho_controller: Rho, rho_link: Rho = 0.0
-    ) -> Rho:
-        """Same as :meth:`memory_latency_cycles`, in seconds."""
-        return self.cycles_to_seconds(
-            self.memory_latency_cycles(hops, rho_controller, rho_link)
-        )
-
     def cycles_to_seconds(self, cycles: Rho) -> Rho:
         """Convert CPU cycles to seconds at the model's frequency."""
         return cycles / (self.freq_ghz * 1e9)

@@ -122,19 +122,6 @@ class Machine:
         rho_l = self.interconnect.utilizations(seconds)
         return rho_c, rho_l
 
-    def access_latency_matrix(self, seconds: float) -> np.ndarray:
-        """Per-(src, dst) memory latency (cycles) under current congestion."""
-        rho_c, _ = self.congestion(seconds)
-        out = np.zeros((self.num_nodes, self.num_nodes))
-        for src in range(self.num_nodes):
-            for dst in range(self.num_nodes):
-                hops = self.topology.hops(src, dst)
-                rho_link = self.interconnect.route_utilization(src, dst, seconds)
-                out[src, dst] = self.latency.memory_latency_cycles(
-                    hops, float(rho_c[dst]), rho_link
-                )
-        return out
-
     def end_epoch(self) -> np.ndarray:
         """Archive counters and reset per-epoch accounting on all parts."""
         snapshot = self.counters.end_epoch()

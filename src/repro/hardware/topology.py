@@ -139,11 +139,6 @@ class NumaTopology:
         except KeyError:
             raise TopologyError(f"no direct link between {a} and {b}") from None
 
-    def neighbors(self, node: NodeId) -> Tuple[NodeId, ...]:
-        """Nodes directly linked to ``node``."""
-        self._check_node(node)
-        return tuple(self._adjacency[node])
-
     # ------------------------------------------------------------------
     # Routing
 

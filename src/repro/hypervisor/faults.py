@@ -22,6 +22,7 @@ from repro import obs
 from repro.errors import P2MError
 from repro.hypervisor.allocator import XenHeapAllocator
 from repro.hypervisor.domain import Domain
+from repro.obs.metrics import cell_attr
 from repro.util import accumulate_cost
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,29 +46,9 @@ class FaultStats:
         self._wp_faults = reg.counter("faults.write_protection")
         self._seconds = reg.counter("faults.seconds_spent", value=0.0)
 
-    @property
-    def hypervisor_faults(self) -> int:
-        return self._faults.value
-
-    @hypervisor_faults.setter
-    def hypervisor_faults(self, value: int) -> None:
-        self._faults.value = value
-
-    @property
-    def write_protection_faults(self) -> int:
-        return self._wp_faults.value
-
-    @write_protection_faults.setter
-    def write_protection_faults(self, value: int) -> None:
-        self._wp_faults.value = value
-
-    @property
-    def seconds_spent(self) -> float:
-        return self._seconds.value
-
-    @seconds_spent.setter
-    def seconds_spent(self, value: float) -> None:
-        self._seconds.value = value
+    hypervisor_faults = cell_attr("_faults")
+    write_protection_faults = cell_attr("_wp_faults")
+    seconds_spent = cell_attr("_seconds")
 
 
 class FaultHandler:

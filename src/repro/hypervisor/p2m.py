@@ -32,6 +32,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import P2MError
+from repro.obs.metrics import cell_attr
 
 #: Flag bits of the packed ``flags`` array. PRESENT distinguishes "never
 #: populated / removed" from "populated but invalid" (the first-touch
@@ -575,32 +576,12 @@ class P2MTable:
         """
         return np.nonzero((self._flags & VALID) != 0)[0].astype(np.int64)
 
-    @property
-    def faults_taken(self) -> int:
-        """Hypervisor faults resolved against this table."""
-        return self._faults_taken.value
-
-    @faults_taken.setter
-    def faults_taken(self, value: int) -> None:
-        self._faults_taken.value = value
-
-    @property
-    def invalidations(self) -> int:
-        """Entries invalidated (released pages, first-touch traps)."""
-        return self._invalidations.value
-
-    @invalidations.setter
-    def invalidations(self, value: int) -> None:
-        self._invalidations.value = value
-
-    @property
-    def migrations(self) -> int:
-        """Pages remapped by the migration protocol."""
-        return self._migrations.value
-
-    @migrations.setter
-    def migrations(self, value: int) -> None:
-        self._migrations.value = value
+    #: Hypervisor faults resolved against this table.
+    faults_taken = cell_attr("_faults_taken")
+    #: Entries invalidated (released pages, first-touch traps).
+    invalidations = cell_attr("_invalidations")
+    #: Pages remapped by the migration protocol.
+    migrations = cell_attr("_migrations")
 
     @property
     def num_entries(self) -> int:

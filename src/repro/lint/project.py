@@ -136,7 +136,8 @@ NONSPECIFIC_METHODS = frozenset(
     }
 )
 
-#: Wall-clock reads (kept in sync with RPR002's view of time).
+#: Wall-clock reads (module.function dotted names); RPR002 and the
+#: effect summaries share this table and the numpy.random ones below.
 CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -194,7 +195,8 @@ FS_METHODS = frozenset(
     {"write_text", "read_text", "write_bytes", "read_bytes"}
 )
 
-#: numpy.random attributes that do not bind the global stream.
+#: numpy.random attributes that are fine to touch: seeded-generator
+#: construction, not the module-level global stream.
 NP_RANDOM_ALLOWED = frozenset(
     {
         "default_rng",
@@ -209,7 +211,7 @@ NP_RANDOM_ALLOWED = frozenset(
     }
 )
 
-_NP_RANDOM_PREFIXES = ("np.random.", "numpy.random.")
+NP_RANDOM_PREFIXES = ("np.random.", "numpy.random.")
 
 FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -516,7 +518,7 @@ class ProjectContext:
                     )
                 )
                 return
-            if dotted.startswith(_NP_RANDOM_PREFIXES):
+            if dotted.startswith(NP_RANDOM_PREFIXES):
                 np_attr = dotted.split(".")[2]
                 if np_attr not in NP_RANDOM_ALLOWED:
                     fn.effects.append(

@@ -14,46 +14,13 @@ from __future__ import annotations
 
 import ast
 
+from repro.lint.project import (
+    CLOCK_CALLS,
+    NP_RANDOM_ALLOWED,
+    NP_RANDOM_PREFIXES,
+)
 from repro.lint.registry import register
 from repro.lint.visitor import FileContext, Rule, call_name
-
-#: Wall-clock reads (module.function dotted names).
-CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "datetime.now",
-        "datetime.today",
-        "datetime.utcnow",
-        "datetime.datetime.now",
-        "datetime.datetime.today",
-        "datetime.datetime.utcnow",
-        "date.today",
-        "datetime.date.today",
-    }
-)
-
-#: numpy.random attributes that are fine to touch: seeded-generator
-#: construction, not the module-level global stream.
-NP_RANDOM_ALLOWED = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "MT19937",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-    }
-)
-
-_NP_RANDOM_PREFIXES = ("np.random.", "numpy.random.")
 
 
 @register
@@ -128,7 +95,7 @@ class DeterminismRule(Rule):
                 "nondeterministic; seed it from SimConfig.rng_seed",
             )
             return
-        if name.startswith(_NP_RANDOM_PREFIXES):
+        if name.startswith(NP_RANDOM_PREFIXES):
             attr = name.split(".")[2]
             if attr not in NP_RANDOM_ALLOWED:
                 yield self.finding(

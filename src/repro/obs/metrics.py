@@ -24,6 +24,7 @@ is the consumer's job (``python -m repro.obs summary`` sums them).
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Union
 
 Scalar = Union[int, float]
@@ -122,6 +123,20 @@ class Histogram(_Cell):
             "min": self.min,
             "max": self.max,
         }
+
+
+def cell_attr(slot: str) -> property:
+    """A plain-attribute view over the counter or gauge held in ``slot``.
+
+    Reads return the cell's ``value`` and writes replace it, so
+    ``obj.attr += x`` is the same arithmetic it was on the attribute the
+    cell replaced.
+    """
+
+    def setter(self, value: Scalar) -> None:
+        getattr(self, slot).value = value
+
+    return property(operator.attrgetter(slot + ".value"), setter)
 
 
 class MetricsRegistry:

@@ -6,6 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.obs.metrics import cell_attr
 from repro.runner.exec import execute_request
 from repro.runstore.base import RunStore
 from repro.runstore.memory import MemoryRunStore
@@ -72,37 +73,10 @@ class RunnerStats:
         self._executed = reg.counter("runner.executed", runner=self.scope)
         self._batched = reg.counter("runner.batched", runner=self.scope)
 
-    @property
-    def requested(self) -> int:
-        return self._requested.value
-
-    @requested.setter
-    def requested(self, value: int) -> None:
-        self._requested.value = value
-
-    @property
-    def deduplicated(self) -> int:
-        return self._deduplicated.value
-
-    @deduplicated.setter
-    def deduplicated(self, value: int) -> None:
-        self._deduplicated.value = value
-
-    @property
-    def executed(self) -> int:
-        return self._executed.value
-
-    @executed.setter
-    def executed(self, value: int) -> None:
-        self._executed.value = value
-
-    @property
-    def batched(self) -> int:
-        return self._batched.value
-
-    @batched.setter
-    def batched(self, value: int) -> None:
-        self._batched.value = value
+    requested = cell_attr("_requested")
+    deduplicated = cell_attr("_deduplicated")
+    executed = cell_attr("_executed")
+    batched = cell_attr("_batched")
 
     def summary(self) -> str:
         # The batched count is appended, never interleaved: tooling greps

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import obs
+from repro.obs.metrics import cell_attr
 from repro.sim.results import RunResult
 from repro.sim.runspec import RunRequest
 
@@ -54,21 +55,8 @@ class RunStore(abc.ABC):
         self._hits = reg.counter("store.hits", store=store)
         self._misses = reg.counter("store.misses", store=store)
 
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
+    hits = cell_attr("_hits")
+    misses = cell_attr("_misses")
 
     # ------------------------------------------------------------------
     # Counted access

@@ -40,6 +40,8 @@ ERR_SHUTTING_DOWN = "shutting-down"
 ERR_BAD_REQUEST = "bad-request"
 ERR_TIMEOUT = "timeout"
 ERR_WORKER_DIED = "worker-died"
+#: The backend raised while executing the request (not retried).
+ERR_EXECUTION = "execution-error"
 ERR_PROTOCOL = "protocol"
 
 

@@ -16,7 +16,9 @@ One :class:`ReproServer` owns four pieces:
 * a **failure policy**: each execution attempt runs under the configured
   per-request timeout; a timeout or a dead worker process recycles the
   backend and requeues the group at the front, up to ``retries`` times,
-  after which waiters get a terminal ``failed`` message;
+  after which waiters get a terminal ``failed`` message. Any other
+  error the backend raises fails the group at once (``execution-error``):
+  requests are pure, so a retry would fail the same way;
 * a **control plane**: NDJSON connections (see
   :mod:`repro.serve.protocol`) with per-connection response streaming in
   resolution order, ``stats``/``metrics`` snapshots of the live
@@ -295,6 +297,11 @@ class ReproServer:
                 self._retry_or_fail(group, protocol.ERR_WORKER_DIED)
                 return
             raise
+        except Exception:  # repro-lint: ignore[RPR003] - sent as execution-error
+            for job in group:
+                self.counters.failed.inc()
+                self.jobs.fail(job, protocol.ERR_EXECUTION)
+            return
         for job, results in zip(group, produced):
             self.store.put(job.key, results, request=job.request)
             self.counters.executed.inc()
@@ -488,7 +495,11 @@ class ReproServer:
                 protocol.failed_message(
                     request_id,
                     str(payload),
-                    attempts=self.config.retries + 1,
+                    attempts=(
+                        1
+                        if payload == protocol.ERR_EXECUTION
+                        else self.config.retries + 1
+                    ),
                 )
             )
 

@@ -630,10 +630,6 @@ class EpochStepper:
             np.zeros(self.num_nodes), np.zeros(len(self.solver.link_bw))
         )
 
-    def has_active_runs(self) -> bool:
-        """Whether any run still needs epochs (migrations can add some)."""
-        return any(not r.finished for r in self.world.runs)
-
     def idle_step(self, now: float) -> None:
         """Advance the clock on a world with nothing to run.
 

@@ -292,7 +292,7 @@ class PlacementTracker:
             self.entry_invalidated(int(gpfns[pos]))
 
     # ------------------------------------------------------------------
-    # Linux-mode hooks (node known directly, no frame lookup)
+    # Linux-mode hook (node known directly, no frame lookup)
 
     def page_placed(self, key: int, node: int) -> None:
         hit = self.tracked(key)
@@ -300,6 +300,3 @@ class PlacementTracker:
             return
         placement, idx = hit
         placement.place(idx, node)
-
-    def page_released(self, key: int) -> None:
-        self.entry_invalidated(key)

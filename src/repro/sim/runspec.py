@@ -31,6 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.config import SimConfig, DEFAULT_CONFIG
 from repro.errors import RunSpecError
+from repro.workloads.suite import APP_NAMES
 
 #: Valid environment discriminators. ``cluster`` is a multi-host Xen
 #: deployment: the executor boots a fixed two-host cluster, places the
@@ -77,6 +78,8 @@ class VmRequest:
     def __post_init__(self):
         if not isinstance(self.app, str) or not self.app:
             raise RunSpecError(f"VmRequest needs an application name, got {self.app!r}")
+        if self.app not in APP_NAMES:
+            raise RunSpecError(f"VmRequest names an unknown application {self.app!r}")
         for name in ("num_vcpus", "memory_pages"):
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or isinstance(value, bool)):

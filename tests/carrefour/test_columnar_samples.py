@@ -4,8 +4,8 @@
 ``list[HotPageSample]`` everywhere the engine hands samples on. Indexing
 and iteration must reproduce the columns exactly, and the user component
 must decide the same pages, in the same order, with the same RNG draws,
-whichever form it is given — on the vectorized path, on the scalar
-fallback, and on the empty early path.
+whichever form it is given — on the production mask path, on the
+test-only scalar oracle (``decide_oracle``), and on the empty early path.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.carrefour.heuristics import sample_arrays
 from repro.carrefour.metrics import compute_metrics
 from repro.hardware.counters import HotPageSample, HotPageSamples
 
+from tests.carrefour import decide_oracle
 from tests.carrefour.test_engine import concentrated_matrix, observation
 
 NODES = 4
@@ -88,26 +89,34 @@ def placements(seed, pages):
 
 
 def decide(samples, seed, batch, **config):
+    """Decide on the mask path (``batch``) or on the scalar oracle."""
     user = UserComponent(
         CarrefourConfig(min_access_rate_per_s=1.0, **config),
         np.random.default_rng(seed),
     )
     placement, placement_many = placements(seed, random_columns(seed)[0])
     metrics = compute_metrics(observation(concentrated_matrix(nodes=NODES)))
-    result = user.decide(
-        metrics, samples, placement, placement_many if batch else None
-    )
+    if batch:
+        result = user.decide(metrics, samples, placement_many)
+    else:
+        result = decide_oracle.decide(user, metrics, samples, placement)
     return result, user.rng.bit_generator.state
+
+
+PATHS = pytest.mark.parametrize(
+    "batch", [True, False], ids=["vectorized", "scalar"]
+)
+CONFIGS = pytest.mark.parametrize(
+    "config",
+    [{}, {"enable_replication": True}, {"migration_budget": 7}],
+    ids=["default", "replication", "budget"],
+)
 
 
 class TestDecideParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("batch", [True, False], ids=["vectorized", "scalar"])
-    @pytest.mark.parametrize(
-        "config",
-        [{}, {"enable_replication": True}, {"migration_budget": 7}],
-        ids=["default", "replication", "budget"],
-    )
+    @PATHS
+    @CONFIGS
     def test_columnar_equals_list(self, seed, batch, config):
         columns = random_columns(seed)
         listed, listed_state = decide(as_list(*columns), seed, batch, **config)
@@ -119,7 +128,17 @@ class TestDecideParity:
         assert columnar.applied == listed.applied
         assert columnar_state == listed_state
 
-    @pytest.mark.parametrize("batch", [True, False], ids=["vectorized", "scalar"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @CONFIGS
+    def test_mask_path_equals_oracle(self, seed, config):
+        columns = random_columns(seed)
+        oracle, oracle_state = decide(as_list(*columns), seed, False, **config)
+        for samples in (as_list(*columns), HotPageSamples(*columns)):
+            result, state = decide(samples, seed, True, **config)
+            assert result == oracle
+            assert state == oracle_state
+
+    @PATHS
     def test_empty_samples_take_the_early_path(self, batch):
         empty = HotPageSamples(
             np.zeros(0, dtype=np.int64),

@@ -25,6 +25,11 @@ def observation(matrix, epoch_seconds=1.0, hot_pages=(), max_link_rho=0.0):
     )
 
 
+def on_node(node):
+    """A batch placement putting every page on ``node``."""
+    return lambda pages: np.full(len(pages), node, dtype=np.int64)
+
+
 def concentrated_matrix(total=1e9, nodes=4):
     m = np.zeros((nodes, nodes))
     m[:, 0] = total / nodes
@@ -57,7 +62,7 @@ class TestUserComponent:
     def test_idle_below_rate_threshold(self):
         user = self._user(min_access_rate_per_s=1e12)
         result = user.decide(
-            compute_metrics(observation(concentrated_matrix())), [], lambda p: 0
+            compute_metrics(observation(concentrated_matrix())), [], on_node(0)
         )
         assert not result.decisions
         assert not result.interleave_enabled
@@ -71,7 +76,7 @@ class TestUserComponent:
         result = user.decide(
             compute_metrics(observation(concentrated_matrix(), hot_pages=hot)),
             hot,
-            lambda p: 0,
+            on_node(0),
         )
         assert result.interleave_enabled
         assert result.decisions
@@ -81,7 +86,7 @@ class TestUserComponent:
         matrix = np.full((4, 4), 100.0)  # fully remote-ish, local frac 0.25
         hot = [HotPageSample(page=1, domain_id=1, node_accesses=(0, 400, 0, 0))]
         result = user.decide(
-            compute_metrics(observation(matrix)), hot, lambda p: 0
+            compute_metrics(observation(matrix)), hot, on_node(0)
         )
         assert result.migration_enabled
         assert result.decisions[0].dst_node == 1
@@ -95,7 +100,7 @@ class TestUserComponent:
                 write_fraction=0.0,
             )
         ]
-        result = user.decide(compute_metrics(observation(matrix)), hot, lambda p: 0)
+        result = user.decide(compute_metrics(observation(matrix)), hot, on_node(0))
         assert not result.replication_enabled
 
     def test_budget_cap(self):
@@ -105,7 +110,7 @@ class TestUserComponent:
             for i in range(10)
         ]
         result = user.decide(
-            compute_metrics(observation(concentrated_matrix())), hot, lambda p: 0
+            compute_metrics(observation(concentrated_matrix())), hot, on_node(0)
         )
         assert len(result.decisions) <= 3
 
@@ -113,10 +118,9 @@ class TestUserComponent:
 class TestEngine:
     def _engine(self, apply_results=True):
         counters = PerfCounters(4)
-        placements = {i: 0 for i in range(100)}
         system = SystemComponent(
             counters,
-            placements.get,
+            on_node(0),
             lambda decision: apply_results,
         )
         config = CarrefourConfig(min_access_rate_per_s=1.0)

@@ -129,3 +129,33 @@ class TestCarrefourBackend:
         mode = LinuxNumaMode(machine, "first-touch", carrefour=True)
         mode.shutdown()
         assert machine.counters.owner is None
+
+
+class TestNodesOfPages:
+    def test_batch_lookup_equals_per_page_lookup(self, machine):
+        """After faults, releases and Carrefour moves, ``nodes_of_pages``
+        answers what ``node_of_page`` answers, -1 for unmapped pages."""
+        mode = LinuxNumaMode(machine, "round-4k", carrefour=True)
+        for vpfn in range(40):
+            mode.backing(vpfn, thread_on(vpfn % 4))
+        for vpfn in (3, 17, 18, 39):
+            assert mode.release_vpfn(vpfn)
+        for vpfn, dst in ((0, 3), (5, 0), (22, 1), (17, 1)):
+            mode._apply_decision(
+                PageDecision(page=vpfn, domain_id=0, action=Action.MIGRATE,
+                             dst_node=dst)
+            )
+        assert mode.pages_migrated == 3  # vpfn 17 was released
+        pages = np.array([0, 3, 5, 17, 22, 39, 40, 1000, 5, 0], dtype=np.int64)
+        expected = [
+            -1 if mode.node_of_page(int(p)) is None else mode.node_of_page(int(p))
+            for p in pages
+        ]
+        nodes = mode.nodes_of_pages(pages)
+        assert nodes.tolist() == expected
+        assert nodes.tolist()[:3] == [3, -1, 0]
+        assert mode.nodes_of_pages(np.zeros(0, dtype=np.int64)).size == 0
+
+    def test_engine_decides_through_the_batch_lookup(self, machine):
+        mode = LinuxNumaMode(machine, "first-touch", carrefour=True)
+        assert mode.engine.system.placement_many == mode.nodes_of_pages

@@ -77,6 +77,24 @@ class HangingBackend(ExecutionBackend):
         await asyncio.Event().wait()
 
 
+class RaisingBackend(ExecutionBackend):
+    """Raises :class:`RuntimeError` for ``bad_app``, executes the rest."""
+
+    def __init__(self, bad_app):
+        self.bad_app = bad_app
+        self.calls = 0
+        self.resets = 0
+
+    async def execute(self, requests, batch_worlds):
+        self.calls += 1
+        if any(request.vms[0].app == self.bad_app for request in requests):
+            raise RuntimeError("scripted execution error")
+        return [["ok", request.vms[0].app] for request in requests]
+
+    async def reset(self):
+        self.resets += 1
+
+
 class TestAdmission:
     def test_store_hit_streams_immediately(self):
         async def main():
@@ -189,6 +207,31 @@ class TestFailurePolicy:
             assert server.counters.retries.value == 1
             assert server.counters.failed.value == 1
             await server.shutdown()
+
+        asyncio.run(main())
+
+
+    def test_execution_error_fails_once_and_worker_survives(self):
+        async def main():
+            backend = RaisingBackend(bad_app="bodytrack")
+            server = ReproServer(
+                backend=backend, config=ServeConfig(workers=1, retries=2)
+            )
+            server.start_workers()
+            _, (_, bad) = server.admit(_linux("bodytrack"))
+            status, code = await asyncio.wait_for(bad, timeout=5)
+            assert status == "failed"
+            assert code == protocol.ERR_EXECUTION
+            assert backend.calls == 1  # pure requests are not retried
+            assert backend.resets == 0
+            assert server.counters.failed.value == 1
+            assert server.counters.retries.value == 0
+            # The one worker loop is still alive and serves the next job.
+            _, (_, good) = server.admit(_linux("swaptions"))
+            status, results = await asyncio.wait_for(good, timeout=5)
+            assert status == "ok"
+            assert results == ["ok", "swaptions"]
+            await asyncio.wait_for(server.shutdown(), timeout=5)
 
         asyncio.run(main())
 
@@ -345,6 +388,28 @@ class TestEndToEnd:
                 assert reply["op"] == "reject"
                 assert reply["error"] == protocol.ERR_BAD_REQUEST
                 assert client.stats()["counters"]["executed"] == 0
+                client.shutdown()
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_unknown_app_is_rejected_as_bad_request(self):
+        thread, host, port = _start_server(MemoryRunStore())
+        payload = self.REQUESTS[0].to_json()
+        payload["vms"][0]["app"] = "no-such-app"
+        try:
+            with ServeClient(host, port, timeout=20) as client:
+                client._send({"op": "submit", "id": 0, "request": payload})
+                reply = client._recv()
+                assert reply["op"] == "reject"
+                assert reply["error"] == protocol.ERR_BAD_REQUEST
+                assert "no-such-app" in reply["detail"]
+                client._send(
+                    {"op": "submit", "id": 1, "request": self.REQUESTS[0].to_json()}
+                )
+                reply = client._recv()
+                assert reply["op"] == "result"
+                assert reply["id"] == 1
                 client.shutdown()
         finally:
             thread.join(timeout=30)

@@ -85,6 +85,14 @@ class TestValidation:
         with pytest.raises(RunSpecError):
             RunRequest(environment="linux", vms=vms)
 
+    def test_unknown_app_rejected(self):
+        with pytest.raises(RunSpecError, match="no-such-app"):
+            VmRequest(app="no-such-app")
+        payload = _linux().to_json()
+        payload["vms"][0]["app"] = "no-such-app"
+        with pytest.raises(RunSpecError):
+            RunRequest.from_json(payload)
+
     def test_unknown_environment_rejected(self):
         with pytest.raises(RunSpecError):
             RunRequest(environment="kvm", vms=(VmRequest(app="swaptions"),))
