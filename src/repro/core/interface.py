@@ -165,15 +165,8 @@ class InternalInterface:
     # ------------------------------------------------------------------
     # Queries
 
-    def node_of_gpfn(self, domain: Domain, gpfn: int) -> Optional[int]:
-        """NUMA node currently backing ``gpfn`` (None if unmapped/invalid)."""
-        entry = domain.p2m.lookup(gpfn)
-        if entry is None or not entry.valid:
-            return None
-        return self.machine.node_of_frame(entry.mfn)
-
     def nodes_of_gpfns(self, domain: Domain, gpfns) -> np.ndarray:
-        """Batch :meth:`node_of_gpfn`: node per gpfn, -1 where unmapped."""
+        """NUMA node currently backing each gpfn, -1 where unmapped."""
         return domain.p2m.nodes_of(gpfns)
 
     def take_migration_seconds(self) -> float:

@@ -28,9 +28,9 @@ serial engine to agree with: everything per-world stays per-world
 (commit, observations, policies, churn, hardware counters, metric cells,
 trace events, teardown) and runs in the single-world order, which makes
 batched results **bit-identical** to serial execution. The pre-batching
-single-world loop survives only as the reference driver
-:func:`repro.perfbench.oracle.reference_run_world`, which the parity
-tests and the ``bench_multi_run`` perfbench section compare against.
+single-world loop survives only as the test-only reference driver
+``reference_run_world`` (``tests/properties/engine_oracle.py``), which
+the parity tests and the multi-run speedup gate compare against.
 
 Tracing does not change the path: under an observability session each
 lane emits its ``epoch.solve`` span and ``run.commit`` instants from the

@@ -118,15 +118,8 @@ class LinuxNumaMode:
     # ------------------------------------------------------------------
     # Carrefour plumbing
 
-    def node_of_page(self, vpfn: int) -> Optional[int]:
-        """Node currently backing a virtual page."""
-        mfn = self._frames.get(vpfn)
-        if mfn is None:
-            return None
-        return self.machine.node_of_frame(mfn)
-
     def nodes_of_pages(self, pages: np.ndarray) -> np.ndarray:
-        """Batch :meth:`node_of_page`: node per vpfn, -1 where unmapped."""
+        """Node currently backing each virtual page, -1 where unmapped."""
         mfns = np.array(
             [self._frames.get(p, -1) for p in pages.tolist()],
             dtype=np.int64,

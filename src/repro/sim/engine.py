@@ -23,14 +23,15 @@ worlds ("lanes") as one structure-of-arrays program. A single world —
 :meth:`EpochStepper.step`, hence :func:`run_world` — is the group of
 one; :func:`repro.core.multirun.run_worlds` steps many compatible
 worlds together with per-world results bit-identical to stepping each
-alone. The pre-batching single-world loop is kept as the reference
-driver :func:`repro.perfbench.oracle.reference_run_world`.
+alone. The pre-batching single-world loop is kept, test-only, as the
+reference driver ``reference_run_world`` in
+``tests/properties/engine_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ class CongestionSolver:
     ``R[(src, dst), link]`` (exported by the topology) turns
     :meth:`congestion` into two matrix products, and the ndarray-aware
     latency model turns :meth:`latency_matrix` into one broadcast
-    expression. ``route_links`` is kept as the loop-friendly view of the
-    same routing tables (the perfbench loop-oracle iterates it).
+    expression.
     """
 
     def __init__(self, machine: Machine):
@@ -84,16 +84,10 @@ class CongestionSolver:
         self.hops = np.array(
             [[topo.hops(s, d) for d in range(n)] for s in range(n)]
         )
-        links = list(topo.links)
-        self._link_index = {l.key: i for i, l in enumerate(links)}
-        self.link_bw = np.array([l.bandwidth_gib_s * (1 << 30) for l in links])
+        self.link_bw = np.array(
+            [l.bandwidth_gib_s * (1 << 30) for l in topo.links]
+        )
         self.controller_bw = topo.memory_controller_gib_s * (1 << 30)
-        self.route_links: Dict[Tuple[int, int], List[int]] = {}
-        for s in range(n):
-            for d in range(n):
-                self.route_links[(s, d)] = [
-                    self._link_index[l.key] for l in topo.route(s, d)
-                ]
         #: R[src * n + dst, link] == 1.0 iff the link lies on route
         #: (src, dst); link order matches ``link_bw``.
         self.route_matrix = topo.route_link_matrix()

@@ -18,6 +18,7 @@ def setup():
     domain = Domain(
         domain_id=1, name="d", num_vcpus=2, memory_pages=64, home_nodes=(0, 1)
     )
+    domain.p2m.frames_per_node = machine.memory.frames_per_node
     return machine, internal, domain
 
 
@@ -27,7 +28,7 @@ class TestMapPage:
         mfn = internal.map_page(domain, 3, node=2)
         assert machine.node_of_frame(mfn) == 2
         assert domain.p2m.translate(3) == mfn
-        assert internal.node_of_gpfn(domain, 3) == 2
+        assert internal.nodes_of_gpfns(domain, [3]).tolist() == [2]
 
     def test_double_map_rejected(self, setup):
         machine, internal, domain = setup
@@ -43,7 +44,7 @@ class TestInvalidate:
         internal.map_page(domain, 3, node=2)
         assert internal.invalidate_page(domain, 3)
         assert machine.memory.free_frames_on(2) == before
-        assert internal.node_of_gpfn(domain, 3) is None
+        assert internal.nodes_of_gpfns(domain, [3]).tolist() == [-1]
 
     def test_invalidate_twice_is_false(self, setup):
         machine, internal, domain = setup
@@ -63,7 +64,7 @@ class TestMigratePage:
         free2 = machine.memory.free_frames_on(2)
         free0 = machine.memory.free_frames_on(0)
         assert internal.migrate_page(domain, 3, dst_node=2)
-        assert internal.node_of_gpfn(domain, 3) == 2
+        assert internal.nodes_of_gpfns(domain, [3]).tolist() == [2]
         assert machine.memory.free_frames_on(2) == free2 - 1
         assert machine.memory.free_frames_on(0) == free0 + 1
 
@@ -88,7 +89,7 @@ class TestMigratePage:
         while machine.memory.alloc_frames(2, 1) is not None:
             pass
         assert not internal.migrate_page(domain, 3, dst_node=2)
-        assert internal.node_of_gpfn(domain, 3) == 0
+        assert internal.nodes_of_gpfns(domain, [3]).tolist() == [0]
 
     def test_migration_log_and_cost(self, setup):
         machine, internal, domain = setup

@@ -21,12 +21,18 @@ def thread_on(node):
     return t
 
 
+def node_of_page(mode, vpfn):
+    """Per-page reference for ``nodes_of_pages``: -1 where unmapped."""
+    mfn = mode._frames.get(vpfn)
+    return -1 if mfn is None else mode.machine.node_of_frame(mfn)
+
+
 class TestFirstTouch:
     def test_allocates_on_toucher_node(self, machine):
         mode = LinuxNumaMode(machine, "first-touch")
         mfn = mode.backing(100, thread_on(3))
         assert machine.node_of_frame(mfn) == 3
-        assert mode.node_of_page(100) == 3
+        assert mode.nodes_of_pages(np.array([100])).tolist() == [3]
 
     def test_fallback_on_full_node(self, machine):
         mode = LinuxNumaMode(machine, "first-touch")
@@ -66,7 +72,7 @@ class TestRelease:
         mode.backing(100, thread_on(1))
         assert mode.release_vpfn(100)
         assert machine.memory.free_frames_on(1) == before
-        assert mode.node_of_page(100) is None
+        assert mode.nodes_of_pages(np.array([100])).tolist() == [-1]
 
     def test_release_unknown_is_false(self, machine):
         mode = LinuxNumaMode(machine, "first-touch")
@@ -81,7 +87,7 @@ class TestCarrefourBackend:
         mode = LinuxNumaMode(machine, "first-touch", carrefour=True)
         mode.backing(100, thread_on(0))
         assert mode._apply_decision(self._decision(100, 2))
-        assert mode.node_of_page(100) == 2
+        assert mode.nodes_of_pages(np.array([100])).tolist() == [2]
         assert mode.pages_migrated == 1
         assert mode.migration_seconds > 0
 
@@ -134,7 +140,7 @@ class TestCarrefourBackend:
 class TestNodesOfPages:
     def test_batch_lookup_equals_per_page_lookup(self, machine):
         """After faults, releases and Carrefour moves, ``nodes_of_pages``
-        answers what ``node_of_page`` answers, -1 for unmapped pages."""
+        answers what the per-page lookup answers, -1 for unmapped pages."""
         mode = LinuxNumaMode(machine, "round-4k", carrefour=True)
         for vpfn in range(40):
             mode.backing(vpfn, thread_on(vpfn % 4))
@@ -147,10 +153,7 @@ class TestNodesOfPages:
             )
         assert mode.pages_migrated == 3  # vpfn 17 was released
         pages = np.array([0, 3, 5, 17, 22, 39, 40, 1000, 5, 0], dtype=np.int64)
-        expected = [
-            -1 if mode.node_of_page(int(p)) is None else mode.node_of_page(int(p))
-            for p in pages
-        ]
+        expected = [node_of_page(mode, int(p)) for p in pages]
         nodes = mode.nodes_of_pages(pages)
         assert nodes.tolist() == expected
         assert nodes.tolist()[:3] == [3, -1, 0]

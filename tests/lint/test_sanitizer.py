@@ -160,9 +160,9 @@ class TestHypervisorIntegration:
 
     def test_interface_migration_passes_sanitized(self, hypervisor):
         domain = hypervisor.create_domain("vm", num_vcpus=1, memory_pages=16)
-        target = 0 if hypervisor.internal.node_of_gpfn(domain, 3) else 1
+        target = 0 if hypervisor.internal.nodes_of_gpfns(domain, [3])[0] else 1
         assert hypervisor.internal.migrate_page(domain, 3, target)
-        assert hypervisor.internal.node_of_gpfn(domain, 3) == target
+        assert hypervisor.internal.nodes_of_gpfns(domain, [3]).tolist() == [target]
 
     def test_broken_migration_ordering_trapped(self, hypervisor):
         """Regression: a remap that skips write_protect must raise."""

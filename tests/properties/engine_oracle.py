@@ -1,28 +1,32 @@
-"""The pre-vectorization scalar implementations, kept as the oracle.
+"""Test-only oracle: the pre-vectorization solver loops and epoch loop.
 
 Two generations of fast path are anchored here:
 
 * the original O(n^2) per-(src, dst) congestion-solver loops that
   :class:`repro.sim.engine.CongestionSolver` replaced with matrix
-  products (PR 2);
+  products;
 * the original per-world epoch loop (:class:`ReferenceStepper`,
   driven by :func:`reference_run_world`) that the engine's one
   structure-of-arrays stepper replaced — per run, per solver pass,
   with the same metric cells and trace events.
 
-They are committed verbatim for two consumers: the perf microbenchmarks
-(the ``>= 3x`` speedup every perf PR demonstrates is measured against
-them) and the equivalence property tests. No engine code selects them.
-Do not optimise them — their value is being slow and obviously correct.
+They serve two consumers: the equivalence tests
+(:mod:`tests.sim.test_engine_vectorized`,
+:mod:`tests.properties.test_engine_oracle`) and the speedup gates
+(:mod:`tests.perf.test_speedup_gates`), which measure the engine's
+``>= 3x`` against them. It is test-only: nothing in ``src/`` can reach
+it. Do not optimise it — its value is being slow and obviously correct.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.hardware.counters import CACHE_LINE_BYTES
+from repro.hardware.topology import NumaTopology
 from repro.sim.engine import (
     DEFAULT_MAX_EPOCHS,
     SOLVER_DAMPING,
@@ -37,6 +41,23 @@ from repro.sim.instance import AppRun
 from repro.sim.results import EpochRecord, RunResult
 
 
+@lru_cache(maxsize=8)
+def route_links(topology: NumaTopology) -> Dict[Tuple[int, int], List[int]]:
+    """Link indices (in ``topology.links`` order) on each (src, dst) route.
+
+    The loop-friendly view of the routing tables the solver's dense
+    ``route_matrix`` encodes. Memoised per topology, so the loops below
+    pay one lookup for it, as they did when the solver carried it.
+    """
+    index = {link.key: i for i, link in enumerate(topology.links)}
+    n = topology.num_nodes
+    return {
+        (s, d): [index[link.key] for link in topology.route(s, d)]
+        for s in range(n)
+        for d in range(n)
+    }
+
+
 def loop_congestion(
     solver: CongestionSolver, matrix: np.ndarray, seconds: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -44,6 +65,7 @@ def loop_congestion(
     col_bytes = matrix.sum(axis=0) * CACHE_LINE_BYTES
     rho_c = col_bytes / (solver.controller_bw * seconds)
     link_bytes = np.zeros(len(solver.link_bw))
+    routes = route_links(solver.machine.topology)
     for s in range(solver.num_nodes):
         for d in range(solver.num_nodes):
             if s == d:
@@ -51,7 +73,7 @@ def loop_congestion(
             traffic = matrix[s, d] * CACHE_LINE_BYTES
             if traffic == 0:
                 continue
-            for li in solver.route_links[(s, d)]:
+            for li in routes[(s, d)]:
                 link_bytes[li] += traffic
     rho_l = link_bytes / (solver.link_bw * seconds)
     return rho_c, rho_l
@@ -64,10 +86,11 @@ def loop_latency_matrix(
     model = solver.machine.latency
     burst = solver.machine.config.traffic_burstiness
     n = solver.num_nodes
+    routes = route_links(solver.machine.topology)
     out = np.zeros((n, n))
     for s in range(n):
         for d in range(n):
-            route = solver.route_links[(s, d)]
+            route = routes[(s, d)]
             link_rho = max((rho_l[li] for li in route), default=0.0)
             cycles = model.memory_latency_cycles(
                 int(solver.hops[s, d]),

@@ -4,7 +4,7 @@
 :func:`repro.core.multirun.run_worlds` (one lane per world) both step
 worlds through the engine's single structure-of-arrays stepper. The
 pre-batching per-run loop is kept as the reference driver
-:func:`repro.perfbench.oracle.reference_run_world`; here hypothesis draws
+:func:`tests.properties.engine_oracle.reference_run_world`; here hypothesis draws
 whole requests — environment, policy, Carrefour, one or two VMs, seed,
 solver early exit on or off — and requires both entry points to
 reproduce the reference byte for byte: results, traces, and the engine's
@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.config import SimConfig
 from repro.core.multirun import run_worlds
-from repro.perfbench.oracle import reference_run_world
 from repro.runner.exec import build_world
 from repro.sim.engine import SOLVER_EPSILON, run_world
 from repro.sim.runspec import RunRequest, VmRequest
+
+from tests.properties.engine_oracle import reference_run_world
 
 #: Short, coarse runs: ~10 fat epochs each.
 FAST_KWARGS = dict(epoch_seconds=4.0, page_scale=4096)

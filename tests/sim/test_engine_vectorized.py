@@ -1,19 +1,19 @@
 """Vectorized congestion solver: oracle equivalence, early exit, pins.
 
 The reference oracle is the pre-vectorization loop implementation,
-committed verbatim in :mod:`repro.perfbench.oracle`.
+committed verbatim in :mod:`tests.properties.engine_oracle`.
 """
 
 import numpy as np
 import pytest
 
 from repro.hardware.presets import amd48, small_machine
-from repro.perfbench.oracle import loop_congestion, loop_latency_matrix
 from repro.sim.engine import CongestionSolver, run_world
 from repro.sim.environment import LinuxEnvironment
 from repro.workloads.suite import get_app
 
 from tests.conftest import fast_app
+from tests.properties.engine_oracle import loop_congestion, loop_latency_matrix
 
 
 @pytest.fixture(params=[2, 4, 8], ids=["2-node", "4-node", "8-node"])
