@@ -2,11 +2,13 @@
 
 Each host is a :class:`~repro.sim.host.Host` (its own machine, heap,
 hypervisor, sanitizer) carrying one :class:`~repro.sim.environment.World`
-advanced by its own :class:`~repro.sim.engine.EpochStepper`. The cluster
-steps every host for epoch *e* before any host sees epoch *e+1*, so
-cross-host protocols (live migration) observe a coherent wall of
-simulated time; hosts with nothing to run idle-step to keep their epoch
-counters aligned.
+held by its own :class:`~repro.sim.engine.EpochStepper`. The hosts are
+the lanes of one group: every epoch, one
+:func:`~repro.sim.engine.step_group` call steps every host with work
+for epoch *e* before any host sees epoch *e+1*, so cross-host protocols
+(live migration) observe a coherent wall of simulated time; hosts with
+nothing to run idle-step to keep their epoch counters aligned. Per-host
+results are bit-identical to stepping each host alone.
 
 VM placement goes through the :class:`PlacementScheduler` (multi-NUMA
 free space + projected congestion, seeded tie-breaks); migrations are
@@ -26,7 +28,12 @@ from repro import obs
 from repro.cluster.migration import LiveMigration, MigrationPlan
 from repro.cluster.placement import PlacementScheduler
 from repro.errors import ExperimentError
-from repro.sim.engine import DEFAULT_MAX_EPOCHS, EpochStepper
+from repro.sim.engine import (
+    DEFAULT_MAX_EPOCHS,
+    EpochStepper,
+    _check_compatible,
+    step_group,
+)
 from repro.sim.environment import VmSpec, World, XenEnvironment
 from repro.sim.host import Host
 from repro.sim.results import RunResult
@@ -187,42 +194,65 @@ class Cluster:
     def simulate(self, max_epochs: int = DEFAULT_MAX_EPOCHS) -> List[RunResult]:
         """Simulate every host to completion; one result per app run.
 
-        Results are grouped by host (ascending host id), each carrying
-        the label of the world the run *finished* on — a migrated run
-        reports its destination.
+        The hosts step as the lanes of one
+        :func:`~repro.sim.engine.step_group` call per epoch; hosts with
+        nothing to run idle-step. Results are grouped by host (ascending
+        host id), each carrying the label of the world the run
+        *finished* on — a migrated run reports its destination.
         """
+        steppers = self._start()
+        gather_cache: dict = {}
+        while self.epoch < max_epochs:
+            self._launch_due()
+            idle = step_group(steppers, self.now, gather_cache)
+            for stepper in idle:
+                stepper.idle_step(self.now)
+            if not self._advance(stepped=len(idle) < len(steppers)):
+                break
+        return self._results()
+
+    def _start(self) -> List[EpochStepper]:
+        """One initialized stepper per host, in host order."""
         if not self.worlds:
             raise ExperimentError("deploy() the cluster before simulate()")
         order = sorted(self.worlds)
+        _check_compatible([self.worlds[host_id] for host_id in order])
         for host_id in order:
             stepper = EpochStepper(self.worlds[host_id])
             stepper.initialize()
             self.steppers[host_id] = stepper
-        while self.epoch < max_epochs:
-            for plan in self._plans:
-                if plan.epoch == self.epoch:
-                    self._launch(plan)
-            stepped = False
-            for host_id in order:
-                if self.steppers[host_id].step(self.now):
-                    stepped = True
-                else:
-                    self.steppers[host_id].idle_step(self.now)
-            for migration in self.migrations:
-                if migration.phase != "precopy":
-                    continue
-                if migration.run.finished:
-                    # The run beat the protocol to the finish line; there
-                    # is nothing left worth moving.
-                    migration.abort()
-                    continue
-                migration.on_epoch(self.epoch, self.config.epoch_seconds)
-                if migration.phase == "complete":
-                    self._transfer_run(migration)
-            if not stepped and not any(m.active for m in self.migrations):
-                break
-            self.epoch += 1
-            self.now += self.config.epoch_seconds
+        return [self.steppers[host_id] for host_id in order]
+
+    def _launch_due(self) -> None:
+        for plan in self._plans:
+            if plan.epoch == self.epoch:
+                self._launch(plan)
+
+    def _advance(self, stepped: bool) -> bool:
+        """Run this epoch's migration rounds and move the clock on.
+
+        False — with the clock left where it is — once no host stepped
+        and no migration is in flight: the cluster is done.
+        """
+        for migration in self.migrations:
+            if migration.phase != "precopy":
+                continue
+            if migration.run.finished:
+                # The run beat the protocol to the finish line; there
+                # is nothing left worth moving.
+                migration.abort()
+                continue
+            migration.on_epoch(self.epoch, self.config.epoch_seconds)
+            if migration.phase == "complete":
+                self._transfer_run(migration)
+        if not stepped and not any(m.active for m in self.migrations):
+            return False
+        self.epoch += 1
+        self.now += self.config.epoch_seconds
+        return True
+
+    def _results(self) -> List[RunResult]:
+        """Finish every host's world and assemble the results."""
         # A run can complete before its migration does — tear the
         # half-built destination down so the heaps stay consistent.
         for migration in self.migrations:
@@ -232,7 +262,7 @@ class Cluster:
             id(m.run): m for m in self.migrations if m.phase == "complete"
         }
         tracer = obs.tracer()
-        for host_id in order:
+        for host_id in sorted(self.worlds):
             stepper = self.steppers[host_id]
             world = self.worlds[host_id]
             runs = list(world.runs)

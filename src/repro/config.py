@@ -40,21 +40,12 @@ class SimConfig:
     #: paper's section 7). Off by default: the paper's own evaluation has
     #: no TLB dimension, so the baseline reproduction keeps it out.
     model_tlb: bool = False
-    #: Attach the runtime P2M sanitizer (:mod:`repro.lint.sanitizer`) to
-    #: every hypervisor booted with this config: double maps, maps of
-    #: freed frames and out-of-order migrations raise immediately. The
-    #: test suite also enables it globally via
-    #: :func:`repro.lint.sanitizer.enable`.
-    sanitize_p2m: bool = False
 
     def result_fields(self) -> dict:
         """The fields that can change simulation *results*, as a dict.
 
         This is the configuration part of a run's cache identity
-        (:meth:`repro.sim.runspec.RunRequest.cache_key`). ``sanitize_p2m``
-        is deliberately excluded: the sanitizer only checks invariants —
-        it either raises or leaves every number untouched — so toggling it
-        must not invalidate stored runs.
+        (:meth:`repro.sim.runspec.RunRequest.cache_key`).
         """
         return {
             "page_scale": self.page_scale,

@@ -2,73 +2,50 @@
 
 A parameter sweep executes hundreds of ``RunRequest``s; stepping them
 one world at a time pays the per-epoch numpy dispatch cost once per
-world. This module amortizes it across worlds: a group of requests with
-a compatible topology/config signature is built into K live worlds and
-handed to the engine's one epoch stepper
-(:func:`repro.sim.engine._step_lanes`) as K lanes —
+world. This module amortizes it across worlds: requests with a
+compatible topology/config signature (:func:`group_signature`) are built
+into K live worlds, and :func:`run_worlds` steps them as the K lanes of
+the engine's lane loop (:func:`repro.sim.engine.step_group`), whose one
+epoch stepper solves every lane's fixed point in one structure-of-arrays
+program with a per-world exact early exit.
 
-* per-thread inputs of every active run are flattened into one
-  ``(T_total,)`` / ``(T_total, n)`` family of arrays;
-* per-run access matrices land in one ``np.add.at`` scatter over a
-  ``(R_total, n, n)`` stack, world totals in a ``(W, n, n)`` stack;
-* one :meth:`~repro.sim.engine.CongestionSolver.congestion` call and one
-  :meth:`~repro.sim.engine.CongestionSolver.latency_matrix_many` call
-  turn the stack into per-world utilisations and latency matrices (the
-  topology constants — hops, route matrix, link bandwidths — are shared
-  by the whole group);
-* each world keeps its own exact-fixed-point early exit: a converged
-  world's latency matrix is masked out of the damped update (which would
-  be the identity on it anyway — an exact fixed point reproduces itself,
-  the same argument :data:`~repro.sim.engine.SOLVER_EPSILON` makes), and
-  the loop stops once every world converged.
-
-A single world is the same stepper with one lane
+A single world is the same loop with one lane
 (:meth:`~repro.sim.engine.EpochStepper.step`), so there is no separate
 serial engine to agree with: everything per-world stays per-world
 (commit, observations, policies, churn, hardware counters, metric cells,
-trace events, teardown) and runs in the single-world order, which makes
-batched results **bit-identical** to serial execution. The pre-batching
-single-world loop survives only as the test-only reference driver
-``reference_run_world`` (``tests/properties/engine_oracle.py``), which
-the parity tests and the multi-run speedup gate compare against.
-
-Tracing does not change the path: under an observability session each
-lane emits its ``epoch.solve`` span and ``run.commit`` instants from the
-shared stepper, and results stay byte-identical to untraced runs.
+trace events, teardown), which makes batched results **bit-identical**
+to serial execution. The pre-batching single-world loop survives only as
+the test-only reference driver ``reference_run_world``
+(``tests/properties/engine_oracle.py``), which the parity tests and the
+multi-run speedup gate compare against. Tracing does not change the
+path: each lane emits its ``epoch.solve`` span and ``run.commit``
+instants from the shared stepper.
 
 Fallback rules (a request executes through plain
 :func:`~repro.runner.exec.execute_request`, i.e. a lane of one) —
 
-* ``cluster`` requests: one world per host, driven in lockstep by the
-  cluster scheduler; there is no single world to stack.
-* ``config.sanitize_p2m`` requests: the sanitizer is a check knob
-  excluded from cache keys; runs that arm it per request run alone so a
-  trapped violation surfaces with an uncluttered single-world stack.
+* ``cluster`` requests: one world per host, which the cluster steps as
+  lanes of its own group; there is no single world to stack here.
 * a group (or chunk) of one: nothing to batch.
 
-Worlds that end (all runs finished, or the epoch cap) are masked out of
-the group at their exact single-world exit time and finalized with the
-same ``finish(now)`` :func:`~repro.sim.engine.run_world` would have
-called.
+Worlds that end (all runs finished, or the epoch cap) leave the group at
+their exact single-world exit time and are finalized with the same
+``finish(now)`` :func:`~repro.sim.engine.run_world` would have called.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
-import numpy as np
-
-from repro.errors import MultiRunError
 from repro.runner.exec import build_world, execute_request
 from repro.sim.engine import (
     DEFAULT_MAX_EPOCHS,
-    SOLVER_EPSILON,
     EpochStepper,
-    _Lane,
-    _step_lanes,
+    _check_compatible,
     run_world,
+    step_group,
 )
 from repro.sim.environment import World
 from repro.sim.results import RunResult
@@ -85,12 +62,10 @@ def group_signature(request: RunRequest) -> Optional[str]:
     preset with the same epoch length and model knobs, so their solver
     constants can be shared. ``rng_seed`` is deliberately excluded — it
     seeds per-world state but never the topology — which is what lets a
-    seed sweep batch into one group. Cluster and ``sanitize_p2m``
-    requests return None (see the module docstring's fallback rules).
+    seed sweep batch into one group. Cluster requests return None (see
+    the module docstring's fallback rules).
     """
     if request.environment not in ("linux", "xen"):
-        return None
-    if request.config.sanitize_p2m:
         return None
     config = dict(request.config.result_fields())
     config.pop("rng_seed", None)
@@ -172,82 +147,38 @@ def execute_batch(
 # ----------------------------------------------------------------------
 # The group driver
 
-def _check_compatible(worlds: Sequence[World]) -> None:
-    ref = worlds[0]
-    ref_topo = ref.machine.topology
-    ref_route = ref_topo.route_link_matrix()
-    ref_bw = [link.bandwidth_gib_s for link in ref_topo.links]
-    for world in worlds[1:]:
-        topo = world.machine.topology
-        if (
-            world.epoch_seconds != ref.epoch_seconds
-            or world.machine.num_nodes != ref.machine.num_nodes
-            or world.machine.config.traffic_burstiness
-            != ref.machine.config.traffic_burstiness
-            or topo.memory_controller_gib_s != ref_topo.memory_controller_gib_s
-            or [link.bandwidth_gib_s for link in topo.links] != ref_bw
-            or not np.array_equal(topo.route_link_matrix(), ref_route)
-        ):
-            raise MultiRunError(
-                f"worlds {ref.label!r} and {world.label!r} are not "
-                f"group-compatible (topology/epoch/model mismatch); "
-                f"group by repro.core.multirun.group_signature first"
-            )
-
-
 def run_worlds(
-    worlds: Sequence[World],
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
-    solver_epsilon: Optional[float] = SOLVER_EPSILON,
+    worlds: Sequence[World], max_epochs: int = DEFAULT_MAX_EPOCHS
 ) -> List[List[RunResult]]:
     """Simulate compatible worlds together; one result list per world.
 
     Bit-identical to calling :func:`~repro.sim.engine.run_world` on each
-    world alone, which is also what a single world does — for the exact
-    early exit (``solver_epsilon`` 0.0, the default) or none (``None``).
-    A positive threshold freezes a converged world's latency matrix
-    while the group keeps iterating, so its final pass would see the
-    matrix one damped update later than stepping alone.
+    world alone, which is also what a single world does. The worlds step
+    as the lanes of :func:`~repro.sim.engine.step_group`; a world that
+    runs out of work is finished at the clock ``run_world`` would have
+    stopped at, and the epoch cap finishes the rest.
     """
     worlds = list(worlds)
     if not worlds:
         return []
     if len(worlds) == 1:
-        return [
-            run_world(worlds[0], max_epochs=max_epochs, solver_epsilon=solver_epsilon)
-        ]
+        return [run_world(worlds[0], max_epochs=max_epochs)]
     _check_compatible(worlds)
-    steppers = [
-        EpochStepper(world, solver_epsilon=solver_epsilon) for world in worlds
-    ]
+    steppers = [EpochStepper(world) for world in worlds]
     for stepper in steppers:
         stepper.initialize()
-    solver = steppers[0].solver
-    epoch_seconds = worlds[0].epoch_seconds
-    results: List[Optional[List[RunResult]]] = [None] * len(worlds)
-    live = list(range(len(worlds)))
+    results: Dict[int, List[RunResult]] = {}
     gather_cache: dict = {}
+    live = steppers
     now = 0.0
-    while live:
-        lanes: List[_Lane] = []
-        still: List[int] = []
-        for index in live:
-            stepper = steppers[index]
-            lane = None
-            if stepper.epoch < max_epochs:
-                lane = stepper.begin_epoch(now, pos=len(lanes))
-            if lane is None:
-                # The cap, or nothing left to run: finish at the clock
-                # run_world would have stopped at.
-                results[index] = stepper.finish(now)
-                continue
-            lanes.append(lane)
-            still.append(index)
-        if not lanes:
-            break
-        _step_lanes(
-            lanes, solver, epoch_seconds, now, solver_epsilon, gather_cache
-        )
-        now += epoch_seconds
-        live = still
-    return results  # type: ignore[return-value]
+    # Lockstep: every live world has stepped the same number of epochs.
+    while live and live[0].epoch < max_epochs:
+        idle = step_group(live, now, gather_cache)
+        for stepper in idle:
+            results[id(stepper)] = stepper.finish(now)
+        live = [stepper for stepper in live if stepper not in idle]
+        if live:
+            now += steppers[0].epoch_seconds
+    for stepper in live:
+        results[id(stepper)] = stepper.finish(now)
+    return [results[id(stepper)] for stepper in steppers]

@@ -95,7 +95,7 @@ class Hypervisor:
         #: expected to unprotect the entry so the write can complete.
         self._wp_handlers: Dict[int, object] = {}
         self.sanitizer: Optional[p2m_sanitizer.P2MSanitizer] = None
-        if machine.config.sanitize_p2m or p2m_sanitizer.is_enabled():
+        if p2m_sanitizer.is_enabled():
             self.sanitizer = p2m_sanitizer.P2MSanitizer()
             machine.memory.sanitizer = self.sanitizer
         self._dom0 = self._create_dom0()

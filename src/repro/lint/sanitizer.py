@@ -15,8 +15,10 @@ The static rules freeze the architecture; this module checks the
 One :class:`P2MSanitizer` is owned by one hypervisor and attached to its
 machine memory and to each domain's p2m table (``.sanitizer``
 attributes, ``None`` when disabled — the hooks cost one attribute check
-each). Enable globally with :func:`enable` (the tier-1 test suite does,
-via ``tests/conftest.py``) or per-run with ``SimConfig.sanitize_p2m``.
+each). :func:`enable` / :func:`disable` are the one switch (the tier-1
+test suite enables it via ``tests/conftest.py``); the sanitizer only
+checks — a run either raises or yields the same numbers — so it is no
+part of a run's cache identity.
 
 Batch operations (``set_entries``, ``invalidate_many``/``remove_many``,
 ``write_protect_many``/``unprotect_many``, ``alloc_singles``,
@@ -65,7 +67,7 @@ def disable() -> None:
 
 
 def is_enabled() -> bool:
-    """Whether new hypervisors get a sanitizer regardless of config."""
+    """Whether new hypervisors get a sanitizer."""
     return _MODE.enabled
 
 

@@ -18,8 +18,8 @@ one directory — fine for a CLI invocation, but a serving layer with many
 concurrent writer processes turns that directory into a single hot
 inode: every create/rename serializes on the same directory lock, and a
 ``glob`` over tens of thousands of entries scans one huge listing. The
-sharded store fans entries out into ``16 ** shard_width`` subdirectories
-keyed by the first ``shard_width`` hex characters of the cache key
+sharded store fans entries out into 256 subdirectories keyed by the
+first :data:`SHARD_PREFIX_LEN` hex characters of the cache key
 (:meth:`~repro.sim.runspec.RunRequest.cache_key` is hex SHA-256, so the
 fan-out is uniform). Each shard is written with the same atomic
 mkstemp-in-shard + rename discipline as the flat store, so any number of
@@ -38,13 +38,18 @@ version-stamp change.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable
 
-from repro.errors import ReproError
 from repro.runstore.disk import DiskRunStore
 
 #: Characters a shard directory name may consist of (hex, lowercase).
 _HEX = set("0123456789abcdef")
+#: Hex characters of the key that name its shard (256 shards). Changing
+#: it would hide every entry of an existing store directory.
+SHARD_PREFIX_LEN = 2
+#: The shard of keys that are not hex (hand-written test keys, foreign
+#: content).
+_OVERFLOW = "_" * SHARD_PREFIX_LEN
 
 
 class ShardedDiskRunStore(DiskRunStore):
@@ -52,34 +57,18 @@ class ShardedDiskRunStore(DiskRunStore):
 
     Args:
         root: store directory (created if missing).
-        shard_width: hex characters of the key that name the shard
-            (1 → 16 shards, 2 → 256 shards; default 2). Re-opening an
-            existing store with a different width would make existing
-            entries invisible, so the width is recorded per-directory
-            implicitly by the shard names — callers must keep it stable
-            for the lifetime of a store directory.
     """
-
-    def __init__(self, root: Union[str, Path], shard_width: int = 2) -> None:
-        if not 1 <= int(shard_width) <= 4:
-            raise ReproError(f"shard_width must be in 1..4, got {shard_width}")
-        self.shard_width = int(shard_width)
-        super().__init__(root)
 
     # ------------------------------------------------------------------
     # Directory layout
 
-    def num_shards(self) -> int:
-        return 16 ** self.shard_width
-
     def shard_of(self, key: str) -> str:
         """The shard directory name of ``key`` (its first hex chars)."""
-        prefix = key[: self.shard_width].lower()
-        if len(prefix) < self.shard_width or not set(prefix) <= _HEX:
-            # Non-hex keys (hand-written test keys, foreign content) all
-            # land in one overflow shard rather than poisoning the
-            # directory namespace with arbitrary prefixes.
-            return "_" * self.shard_width
+        prefix = key[:SHARD_PREFIX_LEN].lower()
+        if len(prefix) < SHARD_PREFIX_LEN or not set(prefix) <= _HEX:
+            # Non-hex keys all land in one overflow shard rather than
+            # poisoning the directory namespace with arbitrary prefixes.
+            return _OVERFLOW
         return prefix
 
     def _shard_dirs(self) -> Iterable[Path]:
@@ -87,9 +76,7 @@ class ShardedDiskRunStore(DiskRunStore):
             if not child.is_dir():
                 continue
             name = child.name
-            if len(name) == self.shard_width and (
-                set(name) <= _HEX or name == "_" * self.shard_width
-            ):
+            if len(name) == SHARD_PREFIX_LEN and (set(name) <= _HEX or name == _OVERFLOW):
                 yield child
 
     def _entry_path(self, key: str) -> Path:

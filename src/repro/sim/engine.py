@@ -19,10 +19,12 @@ Completion time of an application is its initialisation time plus the
 (interpolated) instant its slowest thread reaches the work target.
 
 There is one epoch stepper, :func:`_step_lanes`: it advances a group of
-worlds ("lanes") as one structure-of-arrays program. A single world —
-:meth:`EpochStepper.step`, hence :func:`run_world` — is the group of
-one; :func:`repro.core.multirun.run_worlds` steps many compatible
-worlds together with per-world results bit-identical to stepping each
+worlds ("lanes") as one structure-of-arrays program, and one loop that
+builds the lanes, :func:`step_group`. Every lockstep driver calls it: a
+single world — :meth:`EpochStepper.step`, hence :func:`run_world` — is
+the group of one; :func:`repro.core.multirun.run_worlds` steps a group
+of compatible worlds; :meth:`repro.cluster.Cluster.simulate` steps its
+hosts. Per-world results are bit-identical to stepping each world
 alone. The pre-batching single-world loop is kept, test-only, as the
 reference driver ``reference_run_world`` in
 ``tests/properties/engine_oracle.py``.
@@ -36,6 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.errors import MultiRunError
 from repro.hardware.counters import CACHE_LINE_BYTES
 from repro.hardware.machine import Machine, record_node_traffic_many
 from repro.sim.instance import AppRun
@@ -48,13 +51,6 @@ SOLVER_ITERATIONS = 8
 #: Damping of the latency update between iterations (avoids oscillation
 #: around the saturation knee).
 SOLVER_DAMPING = 0.5
-#: Early-exit threshold for the fixed-point solve: remaining iterations
-#: are skipped once the damped latency matrix moves by at most this much
-#: (max |delta|, seconds) between rounds. The default 0.0 skips only on an
-#: *exact* fixed point — an exact fixed point reproduces itself, so the
-#: skipped iterations could not have changed anything and results stay
-#: bit-for-bit identical to the full 8 rounds.
-SOLVER_EPSILON = 0.0
 #: Default epoch cap (a run 15x slower than nominal still completes).
 DEFAULT_MAX_EPOCHS = 800
 
@@ -345,22 +341,21 @@ def _step_lanes(
     solver: CongestionSolver,
     epoch_seconds: float,
     now: float,
-    solver_epsilon: Optional[float],
     gather_cache: dict,
 ) -> None:
     """Advance every lane's world by one epoch, solved as one batch.
 
-    The only epoch stepper: :meth:`EpochStepper.step` calls it with one
-    lane, :func:`repro.core.multirun.run_worlds` with one lane per live
-    world of a group. Per lane, one epoch is
+    The only epoch stepper, called by :func:`step_group` with one lane
+    per world that has work. Per lane, one epoch is
 
     1. the fixed point: every active thread's operation rate is solved
        together with the congestion it creates (operation rates ->
        access matrices -> controller/link utilisation -> memory
        latencies -> operation rates), all worlds in one numpy program.
-       Each world keeps its own exact-fixed-point early exit: a
-       converged world's latency matrix is masked out of the damped
-       update, and the loop stops once every world converged;
+       Each world keeps its own early exit, taken only on an *exact*
+       fixed point (the damped matrix did not move at all): a converged
+       world's latency matrix is masked out of the damped update, and
+       the loop stops once every world converged;
     2. the commit, per run in world order: work with interpolated finish
        times, the counter observation and policy callback, the
        :class:`EpochRecord`, then churn;
@@ -417,16 +412,16 @@ def _step_lanes(
             deltas = np.where(unconverged, diff, deltas)
         # Early-exit masking: a converged world's matrix is frozen. The
         # damped update would reproduce it bit-for-bit anyway (an exact
-        # fixed point reproduces itself), so masking only saves work and
-        # keeps per-world results identical to stepping it alone.
+        # fixed point reproduces itself), so skipping the remaining
+        # passes and masking only save work and keep per-world results
+        # identical to all SOLVER_ITERATIONS passes stepped alone.
         if unconverged.all():
             latm = damped
         else:
             latm = np.where(unconverged[:, None, None], damped, latm)
-        if solver_epsilon is not None:
-            unconverged &= diff > solver_epsilon
-            if not unconverged.any():
-                break
+        unconverged &= diff > 0.0
+        if not unconverged.any():
+            break
 
     # ---- commit per run, in world order, with batched per-run math
     # One rho_c row is shared by every run's observation in a world, and
@@ -547,33 +542,76 @@ def _step_lanes(
         stepper.epoch = stepper.epoch + 1
 
 
+def step_group(
+    steppers: Sequence[EpochStepper], now: float, gather_cache: dict
+) -> List[EpochStepper]:
+    """Open the epoch at ``now`` on every stepper and step the busy ones.
+
+    The one lane-building loop: each stepper's :meth:`~EpochStepper.begin_epoch`
+    runs in order, the worlds with work advance together as the lanes of
+    one :func:`_step_lanes` call, and the worlds with nothing to run are
+    returned — in order, without having consumed an epoch — for the
+    caller to finish or idle-step. The steppers must be lane-compatible
+    (see :func:`_check_compatible`); ``gather_cache`` is the caller's
+    memo, kept across epochs.
+    """
+    lanes: List[_Lane] = []
+    idle: List[EpochStepper] = []
+    for stepper in steppers:
+        lane = stepper.begin_epoch(now, pos=len(lanes))
+        if lane is None:
+            idle.append(stepper)
+        else:
+            lanes.append(lane)
+    if lanes:
+        first = lanes[0].stepper
+        _step_lanes(lanes, first.solver, first.epoch_seconds, now, gather_cache)
+    return idle
+
+
+def _check_compatible(worlds: Sequence[World]) -> None:
+    """Raise unless ``worlds`` can share one solver as lanes of a group."""
+    ref = worlds[0]
+    ref_topo = ref.machine.topology
+    ref_route = ref_topo.route_link_matrix()
+    ref_bw = [link.bandwidth_gib_s for link in ref_topo.links]
+    for world in worlds[1:]:
+        topo = world.machine.topology
+        if (
+            world.epoch_seconds != ref.epoch_seconds
+            or world.machine.num_nodes != ref.machine.num_nodes
+            or world.machine.config.traffic_burstiness
+            != ref.machine.config.traffic_burstiness
+            or topo.memory_controller_gib_s != ref_topo.memory_controller_gib_s
+            or [link.bandwidth_gib_s for link in topo.links] != ref_bw
+            or not np.array_equal(topo.route_link_matrix(), ref_route)
+        ):
+            raise MultiRunError(
+                f"worlds {ref.label!r} and {world.label!r} cannot step as "
+                f"lanes of one group (topology/epoch/model mismatch)"
+            )
+
+
 class EpochStepper:
     """Per-world engine state, advanced one epoch at a time.
 
-    The engine loop used to live entirely inside :func:`run_world`, with
-    the machine, solver and latency state as locals — which made a world
-    an implicit singleton of its invocation. The stepper holds exactly
-    that state per *instance*, so several worlds (one per cluster host)
-    can advance in lockstep on one shared simulated clock while
-    :func:`run_world` stays the single-host driver with bit-identical
-    results.
+    The stepper holds one world's machine, solver and latency state, so
+    several worlds (the worlds of a batch, the hosts of a cluster) can
+    advance in lockstep on one shared simulated clock as the lanes of
+    :func:`step_group`.
 
-    Usage: construct, :meth:`initialize`, then call :meth:`step` with the
-    current simulated time until it returns False (no active runs) or an
-    external epoch cap is reached, and collect results via :meth:`finish`.
+    Usage: construct, :meth:`initialize`, then call :meth:`step` (a group
+    of one) or :func:`step_group` with the current simulated time until no
+    run is active or an external epoch cap is reached, and collect
+    results via :meth:`finish`.
     """
 
-    def __init__(
-        self,
-        world: World,
-        solver_epsilon: Optional[float] = SOLVER_EPSILON,
-    ):
+    def __init__(self, world: World):
         self.world = world
         self.machine = world.machine
         self.solver = CongestionSolver(self.machine)
         self.num_nodes = self.machine.num_nodes
         self.epoch_seconds = world.epoch_seconds
-        self.solver_epsilon = solver_epsilon
         # Observability: metric cells registered with the active session
         # (no session: cells are created but never collected) and trace
         # emission guarded by one boolean so the disabled path costs
@@ -593,7 +631,7 @@ class EpochStepper:
         self._observed = self._trace_on or self._epoch_cells is not None
         self.epoch = 0
         self._latm: Optional[np.ndarray] = None
-        # The single-world driver's gather memo (see :func:`_step_lanes`).
+        # The single-world driver's gather memo (see :func:`step_group`).
         self._gather_cache: dict = {}
 
     @property
@@ -663,22 +701,10 @@ class EpochStepper:
         """Simulate one epoch starting at ``now``: a group of one lane.
 
         Returns False — without consuming an epoch — when no run is
-        active (the single-host loop breaks; a cluster may instead keep
-        the host idling). The caller advances its clock by
+        active. The caller advances its clock by
         :attr:`epoch_seconds` after every True return.
         """
-        lane = self.begin_epoch(now)
-        if lane is None:
-            return False
-        _step_lanes(
-            [lane],
-            self.solver,
-            self.epoch_seconds,
-            now,
-            self.solver_epsilon,
-            self._gather_cache,
-        )
-        return True
+        return not step_group([self], now, self._gather_cache)
 
     def finish(self, now: float) -> List[RunResult]:
         """Assemble one result per run and tear the world down."""
@@ -737,22 +763,15 @@ class EpochStepper:
         return results
 
 
-def run_world(
-    world: World,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
-    solver_epsilon: Optional[float] = SOLVER_EPSILON,
-) -> List[RunResult]:
+def run_world(world: World, max_epochs: int = DEFAULT_MAX_EPOCHS) -> List[RunResult]:
     """Simulate a world to completion; returns one result per app run.
 
     Args:
         max_epochs: epoch cap; runs still unfinished at the cap are marked
             truncated (per run — two runs of the same application are
             tracked independently).
-        solver_epsilon: early-exit threshold for the per-epoch fixed-point
-            solve (see :data:`SOLVER_EPSILON`). ``None`` disables the
-            early exit and always runs all :data:`SOLVER_ITERATIONS`.
     """
-    stepper = EpochStepper(world, solver_epsilon=solver_epsilon)
+    stepper = EpochStepper(world)
     stepper.initialize()
     now = 0.0
     while stepper.epoch < max_epochs:
@@ -777,23 +796,12 @@ def _migrations_of(run: AppRun) -> int:
 
 
 def run_apps(
-    env: Environment,
-    specs: Sequence,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
-    solver_epsilon: Optional[float] = SOLVER_EPSILON,
+    env: Environment, specs: Sequence, max_epochs: int = DEFAULT_MAX_EPOCHS
 ) -> List[RunResult]:
     """Set up ``env`` with ``specs`` and simulate to completion."""
-    world = env.setup(specs)
-    return run_world(world, max_epochs=max_epochs, solver_epsilon=solver_epsilon)
+    return run_world(env.setup(specs), max_epochs=max_epochs)
 
 
-def run_app(
-    env: Environment,
-    spec,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
-    solver_epsilon: Optional[float] = SOLVER_EPSILON,
-) -> RunResult:
+def run_app(env: Environment, spec, max_epochs: int = DEFAULT_MAX_EPOCHS) -> RunResult:
     """Single-application convenience wrapper."""
-    return run_apps(
-        env, [spec], max_epochs=max_epochs, solver_epsilon=solver_epsilon
-    )[0]
+    return run_apps(env, [spec], max_epochs=max_epochs)[0]

@@ -13,9 +13,7 @@ digest is a stable cache key:
 * every field is serialized explicitly, defaults included, so adding a
   new request field with a default changes the canonical form (and the
   key) *visibly* rather than by accident;
-* the config part comes from :meth:`SimConfig.result_fields`, which
-  excludes check-only knobs (``sanitize_p2m``) — toggling those must hit
-  the same cached runs.
+* the config part comes from :meth:`SimConfig.result_fields`.
 
 Construction validates against :class:`~repro.errors.RunSpecError`, so a
 malformed request fails when a scenario *declares* it, not epochs deep

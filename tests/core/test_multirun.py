@@ -66,15 +66,6 @@ class TestGroupSignature:
         )
         assert group_signature(request) is None
 
-    def test_sanitize_p2m_requests_never_batch(self):
-        armed = RunRequest(
-            environment="xen",
-            features="Xen",
-            vms=(VmRequest(app="swaptions", policy="round-4k"),),
-            config=SimConfig(epoch_seconds=4.0, page_scale=4096, sanitize_p2m=True),
-        )
-        assert group_signature(armed) is None
-
     def test_rng_seed_does_not_split_groups(self):
         """A seed sweep is the canonical batch: seeds share a signature."""
         a = xen_req("swaptions", "round-4k", seed=1)

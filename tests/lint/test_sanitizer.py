@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.config import SimConfig
 from repro.errors import SanitizerError
 from repro.hardware.memory import MachineMemory
 from repro.hardware.presets import small_machine
 from repro.hypervisor.p2m import P2MTable
 from repro.hypervisor.xen import Hypervisor
+from repro.lint import sanitizer as p2m_sanitizer
 from repro.lint.sanitizer import P2MSanitizer
 
 
@@ -147,16 +147,18 @@ class TestHypervisorIntegration:
         assert hypervisor.machine.memory.sanitizer is hypervisor.sanitizer
         assert hypervisor.dom0.p2m.sanitizer is hypervisor.sanitizer
 
-    def test_config_flag_enables_without_global(self, monkeypatch):
-        from repro.lint import sanitizer as mod
-
-        monkeypatch.setattr(mod._MODE, "enabled", False)
-        config = SimConfig(sanitize_p2m=True)
-        hyp = Hypervisor(small_machine(config=config))
-        assert hyp.sanitizer is not None
-        monkeypatch.setattr(mod._MODE, "enabled", False)
-        hyp_off = Hypervisor(small_machine())
+    def test_switch_arms_hypervisors_created_after_it(self):
+        """``enable()``/``disable()`` is the one switch: it decides
+        whether each hypervisor booted afterwards gets a sanitizer."""
+        p2m_sanitizer.disable()
+        try:
+            hyp_off = Hypervisor(small_machine())
+        finally:
+            p2m_sanitizer.enable()
+        hyp_on = Hypervisor(small_machine())
         assert hyp_off.sanitizer is None
+        assert hyp_off.machine.memory.sanitizer is None
+        assert hyp_on.sanitizer is not None
 
     def test_interface_migration_passes_sanitized(self, hypervisor):
         domain = hypervisor.create_domain("vm", num_vcpus=1, memory_pages=16)

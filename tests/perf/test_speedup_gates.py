@@ -64,19 +64,32 @@ MULTI_RUN_EPOCH_SECONDS = 0.25
 MULTI_RUN_PAGE_SCALE = 4096
 #: vCPUs per VM — four 6-vCPU domains fill half the AMD48's pCPUs.
 MULTI_RUN_VCPUS = 6
+#: Batched sweeps timed per pair: at ~3.5x, three of them take about as
+#: long as the one serial sweep they are compared against.
+MULTI_RUN_BATCHED_RUNS = 3
 
 
-def median_speedup(fast: Leg, slow: Leg, pairs: int) -> float:
+def median_speedup(
+    fast: Leg, slow: Leg, pairs: int, fast_runs: int = 1
+) -> float:
     """Median over ``pairs`` of (slow-leg seconds / fast-leg seconds).
 
     The two legs of a pair run back to back, and the order flips every
     pair (even pairs run ``fast`` first), so drift on a shared host hits
-    both sides of each ratio.
+    both sides of each ratio. Within a pair the fast leg runs
+    ``fast_runs`` times, each on a fresh untimed setup, and counts with
+    its mean: a fast leg much shorter than the slow one would otherwise
+    sample a different stretch of host noise.
     """
     ratios: List[float] = []
     for index in range(pairs):
         order = (fast, slow) if index % 2 == 0 else (slow, fast)
-        seconds = [timeit.Timer(setup()).timeit(number=1) for setup in order]
+        seconds = []
+        for leg in order:
+            runs = fast_runs if leg is fast else 1
+            thunks = [leg() for _ in range(runs)]
+            total = sum(timeit.Timer(thunk).timeit(number=1) for thunk in thunks)
+            seconds.append(total / runs)
         fast_s, slow_s = seconds if index % 2 == 0 else seconds[::-1]
         ratios.append(slow_s / fast_s)
     return float(np.median(ratios))
@@ -137,7 +150,8 @@ def bench_multi_run(config: SimConfig, pairs: int) -> Dict[str, float]:
     """Batched multi-run engine vs per-run serial execution of one sweep.
 
     Each leg simulates the sweep over fresh worlds (built untimed):
-    once through :func:`run_worlds` and once world by world through
+    through :func:`run_worlds` (:data:`MULTI_RUN_BATCHED_RUNS` times per
+    pair, timed by the mean) and once world by world through
     :func:`reference_run_world` — exactly what a sweep driver without
     the batched engine would execute. ``results_match`` checks that every
     leg's results serialise to the same sorted-key JSON.
@@ -156,6 +170,7 @@ def bench_multi_run(config: SimConfig, pairs: int) -> Dict[str, float]:
         leg(run_worlds),
         leg(lambda worlds: [reference_run_world(w) for w in worlds]),
         pairs,
+        fast_runs=MULTI_RUN_BATCHED_RUNS,
     )
     return {
         "num_worlds": float(len(requests)),
@@ -266,9 +281,10 @@ class TestMultiRunBench:
         """A 16-world sweep through the batched engine is >=3x faster
         than serial per-run execution, with the full report output
         byte-identical to the serial path. One pair's ratio swings from
-        2.3x to 4.9x on a shared 2-vCPU host; the median of nine pairs
-        measured 3.1-3.6x there, with or without a CPU-bound process
-        running beside it."""
+        2.3x to 4.9x on a shared 2-vCPU host; the median of nine pairs,
+        each timing three batched sweeps against one serial sweep,
+        measured 3.1-3.7x there with a CPU-bound process running beside
+        it."""
         stats = bench_multi_run(SimConfig(), pairs=9)
         assert stats["num_worlds"] == 16.0
         assert stats["results_match"] == 1.0

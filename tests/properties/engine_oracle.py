@@ -1,6 +1,6 @@
 """Test-only oracle: the pre-vectorization solver loops and epoch loop.
 
-Two generations of fast path are anchored here:
+Three generations of fast path are anchored here:
 
 * the original O(n^2) per-(src, dst) congestion-solver loops that
   :class:`repro.sim.engine.CongestionSolver` replaced with matrix
@@ -8,7 +8,9 @@ Two generations of fast path are anchored here:
 * the original per-world epoch loop (:class:`ReferenceStepper`,
   driven by :func:`reference_run_world`) that the engine's one
   structure-of-arrays stepper replaced — per run, per solver pass,
-  with the same metric cells and trace events.
+  with the same metric cells and trace events;
+* the per-host cluster loop (:func:`reference_simulate`) that stepped
+  each host alone before the hosts became lanes of one group.
 
 They serve two consumers: the equivalence tests
 (:mod:`tests.sim.test_engine_vectorized`,
@@ -25,12 +27,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster import Cluster
 from repro.hardware.counters import CACHE_LINE_BYTES
 from repro.hardware.topology import NumaTopology
 from repro.sim.engine import (
     DEFAULT_MAX_EPOCHS,
     SOLVER_DAMPING,
-    SOLVER_EPSILON,
     SOLVER_ITERATIONS,
     CongestionSolver,
     EpochStepper,
@@ -142,7 +144,18 @@ def _per_run_matrix(
 
 
 class ReferenceStepper(EpochStepper):
-    """:class:`EpochStepper` with the original per-run epoch loop."""
+    """:class:`EpochStepper` with the original per-run epoch loop.
+
+    ``solver_epsilon`` is the early-exit threshold of the fixed-point
+    solve: the remaining passes are skipped once the damped latency
+    matrix moves by at most this much (max |delta|, seconds). 0.0 is the
+    engine's exact early exit; ``None`` always runs all
+    :data:`~repro.sim.engine.SOLVER_ITERATIONS` passes.
+    """
+
+    def __init__(self, world: World, solver_epsilon: Optional[float] = 0.0):
+        super().__init__(world)
+        self.solver_epsilon = solver_epsilon
 
     def step(self, now: float) -> bool:
         """Simulate one epoch starting at ``now``.
@@ -276,7 +289,7 @@ class ReferenceStepper(EpochStepper):
 def reference_run_world(
     world: World,
     max_epochs: int = DEFAULT_MAX_EPOCHS,
-    solver_epsilon: Optional[float] = SOLVER_EPSILON,
+    solver_epsilon: Optional[float] = 0.0,
 ) -> List[RunResult]:
     """:func:`repro.sim.engine.run_world` on a :class:`ReferenceStepper`."""
     stepper = ReferenceStepper(world, solver_epsilon=solver_epsilon)
@@ -287,3 +300,26 @@ def reference_run_world(
             break
         now += stepper.epoch_seconds
     return stepper.finish(now)
+
+
+def reference_simulate(
+    cluster: Cluster, max_epochs: int = DEFAULT_MAX_EPOCHS
+) -> List[RunResult]:
+    """:meth:`repro.cluster.Cluster.simulate` stepping each host alone.
+
+    Every epoch each host, in host order, takes :meth:`EpochStepper.step`
+    (a group of one) or idle-steps; the migration rounds, the clock and
+    the result assembly are the cluster's own.
+    """
+    steppers = cluster._start()
+    while cluster.epoch < max_epochs:
+        cluster._launch_due()
+        stepped = False
+        for stepper in steppers:
+            if stepper.step(cluster.now):
+                stepped = True
+            else:
+                stepper.idle_step(cluster.now)
+        if not cluster._advance(stepped):
+            break
+    return cluster._results()

@@ -538,12 +538,12 @@ class TestFirstTouchReplayParity:
 WORLD_CONFIG = dict(epoch_seconds=4.0, page_scale=4096)
 
 
-def first_touch_request(**config):
+def first_touch_request():
     return RunRequest(
         environment="xen",
         features="Xen+",
         vms=(VmRequest(app="cg.C", policy="first-touch"),),
-        config=SimConfig(**WORLD_CONFIG, **config),
+        config=SimConfig(**WORLD_CONFIG),
     )
 
 
@@ -564,12 +564,15 @@ class TestSanitizedWorlds:
         run_world(world)
         assert taken and all(taken)
 
-    def test_armed_run_is_byte_identical(self, monkeypatch):
-        """``SimConfig(sanitize_p2m=True)`` checks the run without
-        changing a byte of its result."""
-        monkeypatch.setattr(p2m_sanitizer._MODE, "enabled", False)
-        plain = build_world(first_touch_request())
-        armed_world = build_world(first_touch_request(sanitize_p2m=True))
+    def test_armed_run_is_byte_identical(self):
+        """The armed sanitizer checks the run without changing a byte of
+        its result."""
+        p2m_sanitizer.disable()
+        try:
+            plain = build_world(first_touch_request())
+        finally:
+            p2m_sanitizer.enable()
+        armed_world = build_world(first_touch_request())
         assert plain.runs[0].context.hypervisor.sanitizer is None
         assert armed_world.runs[0].context.hypervisor.sanitizer is not None
         dump = lambda results: json.dumps(  # noqa: E731

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ReproError
 from repro.runstore import (
     DiskRunStore,
     MemoryRunStore,
@@ -61,14 +60,6 @@ class TestLayout:
         store.put("not-a-hex-key", _results())
         assert (tmp_path / "rs" / "__" / "not-a-hex-key.json").is_file()
         assert store.get("not-a-hex-key") == _results()
-
-    def test_shard_width_bounds(self, tmp_path):
-        with pytest.raises(ReproError):
-            ShardedDiskRunStore(tmp_path / "rs", shard_width=0)
-        with pytest.raises(ReproError):
-            ShardedDiskRunStore(tmp_path / "rs", shard_width=5)
-        assert ShardedDiskRunStore(tmp_path / "a", shard_width=1).num_shards() == 16
-        assert ShardedDiskRunStore(tmp_path / "b").num_shards() == 256
 
     def test_len_and_clear_span_all_shards(self, tmp_path):
         store = ShardedDiskRunStore(tmp_path / "rs")

@@ -13,7 +13,11 @@ from repro.sim.environment import LinuxEnvironment
 from repro.workloads.suite import get_app
 
 from tests.conftest import fast_app
-from tests.properties.engine_oracle import loop_congestion, loop_latency_matrix
+from tests.properties.engine_oracle import (
+    loop_congestion,
+    loop_latency_matrix,
+    reference_run_world,
+)
 
 
 @pytest.fixture(params=[2, 4, 8], ids=["2-node", "4-node", "8-node"])
@@ -86,11 +90,12 @@ class TestOracleEquivalence:
 
 class TestEarlyExit:
     def test_results_identical_with_and_without_skipping(self):
-        """Convergence skipping (the default) is bit-for-bit invisible."""
+        """Convergence skipping (the engine's only mode) is bit-for-bit
+        invisible: the reference loop running every pass agrees."""
         app = fast_app(get_app("cg.C"), baseline_seconds=6.0)
         env = LinuxEnvironment(policy="round-4k")
         skipping = run_world(env.setup([app]))[0]
-        full = run_world(env.setup([app]), solver_epsilon=None)[0]
+        full = reference_run_world(env.setup([app]), solver_epsilon=None)[0]
         assert skipping.completion_seconds == full.completion_seconds
         assert skipping.epochs == full.epochs
         assert skipping.records == full.records
@@ -98,7 +103,9 @@ class TestEarlyExit:
 
     def test_early_exit_skips_solver_iterations(self, monkeypatch):
         """On a churn-free steady state the exact fixed point is reached
-        and later iterations are actually skipped."""
+        and later iterations are actually skipped: fewer solves than the
+        reference loop running every pass (both solve once per pass and
+        once per epoch for the per-run link loads)."""
         calls = {"n": 0}
         original = CongestionSolver.congestion
 
@@ -113,7 +120,7 @@ class TestEarlyExit:
         run_world(env.setup([app]))
         with_skip = calls["n"]
         calls["n"] = 0
-        run_world(env.setup([app]), solver_epsilon=None)
+        reference_run_world(env.setup([app]), solver_epsilon=None)
         without_skip = calls["n"]
         assert with_skip < without_skip
 

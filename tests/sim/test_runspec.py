@@ -62,16 +62,6 @@ class TestCacheKeyStability:
             )
             assert changed.cache_key() != base.cache_key()
 
-    def test_sanitizer_flag_does_not_change_key(self):
-        # sanitize_p2m only checks invariants; toggling it must hit the
-        # same stored entry.
-        checked = RunRequest(
-            environment="linux",
-            vms=_linux().vms,
-            config=SimConfig(sanitize_p2m=True),
-        )
-        assert checked.cache_key() == _linux().cache_key()
-
     def test_canonical_is_sorted_and_compact(self):
         canonical = _xen().canonical()
         assert canonical == json.dumps(
