@@ -9,8 +9,6 @@ benchmarks that share runs (Figure 6 reuses Figure 2's sweep, Figure 10
 reuses Figure 7's) do not repeat them.
 """
 
-import pytest
-
 
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""

@@ -12,7 +12,6 @@
 
 import dataclasses
 
-import pytest
 from conftest import run_once
 
 from repro.config import SimConfig

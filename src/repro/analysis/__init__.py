@@ -1,17 +1,10 @@
 """Metric definitions and report formatting."""
 
-from repro.analysis.metrics import (
-    classify_imbalance,
-    imbalance_percent,
-    interconnect_percent,
-)
-from repro.analysis.tables import format_table, format_percent, format_factor
+from repro.analysis.metrics import classify_imbalance
+from repro.analysis.tables import format_table, format_percent
 
 __all__ = [
     "classify_imbalance",
-    "imbalance_percent",
-    "interconnect_percent",
     "format_table",
     "format_percent",
-    "format_factor",
 ]

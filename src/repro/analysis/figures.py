@@ -8,7 +8,7 @@ enough to eyeball the same shapes the paper plots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 
 def render_bars(
@@ -72,7 +72,6 @@ def render_grouped_bars(
     if title:
         lines.append(title)
         lines.append("=" * len(title))
-    label_width = max(len(label) for label in groups)
     series_names = list(next(iter(groups.values())))
     series_width = max(len(s) for s in series_names)
     peak = max(

@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-from repro.sim.results import RunResult
 
 #: Class boundaries of section 3.5.2, on first-touch imbalance.
 LOW_THRESHOLD = 0.85
@@ -25,13 +24,3 @@ def classify_imbalance(first_touch_imbalance: float) -> str:
     if first_touch_imbalance > HIGH_THRESHOLD:
         return "high"
     return "moderate"
-
-
-def imbalance_percent(result: RunResult) -> float:
-    """Time-averaged load imbalance of a run, in percent."""
-    return result.mean_imbalance * 100.0
-
-
-def interconnect_percent(result: RunResult) -> float:
-    """Time-averaged most-loaded-link utilisation of a run, in percent."""
-    return result.mean_max_link_rho * 100.0

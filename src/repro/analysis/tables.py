@@ -13,11 +13,6 @@ def format_percent(value: float, signed: bool = False) -> str:
     return f"{pct:.0f}%"
 
 
-def format_factor(value: float) -> str:
-    """Render a completion-time ratio ("x2.3")."""
-    return f"x{value:.2f}"
-
-
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],

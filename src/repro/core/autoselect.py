@@ -27,7 +27,7 @@ Two selectors are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.analysis.metrics import classify_imbalance
 from repro.core.policies.base import PolicyName, PolicySpec

@@ -5,8 +5,9 @@ Paper Figure 3 splits the world in two:
 * the **internal interface** is how a policy manipulates memory *inside*
   the hypervisor — two functions (section 4.1):
 
-  1. map the physical page of a virtual machine to a machine page of a
-     chosen NUMA node (``map_page``);
+  1. map the physical pages of a virtual machine to machine pages of
+     chosen NUMA nodes (``populate_*`` at boot; first-touch maps each
+     page in the hypervisor's fault path);
   2. migrate a physical page to a new NUMA node (``migrate_page``): write
      protect the entry, copy the frame, remap, free the old frame.
 
@@ -27,7 +28,6 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 from repro.core.page_queue import PageEventBatch
-from repro.errors import P2MError
 from repro.hardware.machine import Machine
 from repro.hypervisor.allocator import XenHeapAllocator
 from repro.hypervisor.domain import Domain
@@ -79,18 +79,6 @@ class InternalInterface:
     # ------------------------------------------------------------------
     # Function 1: map a physical page to a NUMA node
 
-    def map_page(self, domain: Domain, gpfn: int, node: int) -> int:
-        """Back ``gpfn`` with a fresh frame on ``node``; returns the mfn.
-
-        The entry must not currently be valid (use :meth:`migrate_page` to
-        move an in-use page).
-        """
-        if domain.p2m.is_valid(gpfn):
-            raise P2MError(f"gpfn {gpfn:#x} is already mapped; migrate instead")
-        mfn = self.allocator.alloc_page_on(node)
-        domain.p2m.set_entry(gpfn, mfn)
-        return mfn
-
     def invalidate_page(self, domain: Domain, gpfn: int) -> bool:
         """Invalidate ``gpfn`` and return its frame to the heap.
 
@@ -116,7 +104,7 @@ class InternalInterface:
         return int(mfns.size)
 
     # ------------------------------------------------------------------
-    # Whole-domain population (map_page applied wholesale): the static
+    # Whole-domain population (function 1 applied wholesale): the static
     # boot-time policies use these so they never touch the heap directly.
 
     def populate_round_1g(self, domain: Domain) -> None:

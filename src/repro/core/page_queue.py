@@ -95,16 +95,6 @@ class PageEventBatch:
             ]
         return PageEvent(_OP_OF[int(self.ops[index])], int(self.gpfns[index]))
 
-    @classmethod
-    def from_events(cls, events: Sequence[PageEvent]) -> "PageEventBatch":
-        ops = np.fromiter(
-            (_CODE_OF[e.op] for e in events), dtype=np.uint8, count=len(events)
-        )
-        gpfns = np.fromiter(
-            (e.gpfn for e in events), dtype=np.int64, count=len(events)
-        )
-        return cls(ops, gpfns)
-
 
 #: Flush callback: receives the (oldest-first) events, returns nothing.
 FlushFn = Callable[[Sequence[PageEvent]], None]
@@ -140,10 +130,6 @@ class QueueStats:
     lock_acquisitions = cell_attr("_locks")
     flush_hold_seconds = cell_attr("_flush_hold")
     append_hold_seconds = cell_attr("_append_hold")
-
-    @property
-    def events_per_flush(self) -> float:
-        return self.flushed_events / self.flushes if self.flushes else 0.0
 
 
 def _accumulate(start: float, cost: float, count: int) -> float:
@@ -222,14 +208,6 @@ class PartitionedPageQueue:
         self.stats.append_hold_seconds += self.append_cost_seconds
         if fill + 1 >= self.batch_size:
             self._flush(idx)
-
-    def record_alloc(self, gpfn: int) -> None:
-        """Shorthand for an allocation event."""
-        self.record(PageOp.ALLOC, gpfn)
-
-    def record_release(self, gpfn: int) -> None:
-        """Shorthand for a release event."""
-        self.record(PageOp.RELEASE, gpfn)
 
     def record_many(self, op: PageOp, gpfns: Union[Sequence[int], np.ndarray]) -> None:
         """Enqueue one op for a whole gpfn array.

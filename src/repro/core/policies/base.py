@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -173,7 +173,3 @@ class NumaPolicy(abc.ABC):
     def on_epoch(self, domain: Domain, observation: EpochObservation) -> float:
         """React to one epoch of counter data; returns overhead seconds."""
         return 0.0
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        return self.name

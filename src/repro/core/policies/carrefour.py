@@ -113,9 +113,6 @@ class CarrefourPolicy(NumaPolicy):
         """Release the performance counters."""
         self.engine.shutdown()
 
-    def describe(self) -> str:
-        return f"carrefour on top of {self.base.name}"
-
     # ------------------------------------------------------------------
     # System component callbacks
 

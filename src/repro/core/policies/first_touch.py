@@ -95,9 +95,3 @@ class FirstTouchPolicy(NumaPolicy):
         self.pages_invalidated += invalidated
         self.reallocations_skipped += skipped
         return invalidated, skipped
-
-    def describe(self) -> str:
-        return (
-            "first-touch: invalidate released pages, place faulting pages "
-            "on the toucher's node"
-        )

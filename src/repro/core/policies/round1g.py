@@ -36,6 +36,3 @@ class Round1GPolicy(NumaPolicy):
             domain.domain_id, RoundRobin(domain.home_nodes)
         )
         return rr.next()
-
-    def describe(self) -> str:
-        return "round-1g: eager 1 GiB regions round-robin over home nodes"

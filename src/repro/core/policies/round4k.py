@@ -38,6 +38,3 @@ class Round4KPolicy(NumaPolicy):
             domain.domain_id, RoundRobin(domain.home_nodes)
         )
         return rr.next()
-
-    def describe(self) -> str:
-        return "round-4k: static page round-robin over home nodes"

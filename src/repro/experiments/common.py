@@ -20,8 +20,7 @@ coincidence.
 
 :func:`default_runner` is the process-wide serial runner over an in-memory
 store that :meth:`Scenario.run <repro.experiments.registry.Scenario.run>`
-resolves through when no runner is given; :func:`clear_cache` empties it
-(tests use this for isolation).
+resolves through when no runner is given.
 """
 
 from __future__ import annotations
@@ -85,14 +84,6 @@ _DEFAULT = _ConfigHolder()
 def default_runner() -> Runner:
     """The process-wide serial runner scenarios resolve through by default."""
     return _RUNNER
-
-
-def clear_cache() -> None:
-    """Drop all memoised runs (tests use this for isolation)."""
-    _STORE.clear()
-    _RUNNER.stats.requested = 0
-    _RUNNER.stats.deduplicated = 0
-    _RUNNER.stats.executed = 0
 
 
 def default_config() -> SimConfig:
@@ -295,7 +286,6 @@ __all__ = [
     "XEN_POLICIES_ALL",
     "ResultSet",
     "default_runner",
-    "clear_cache",
     "default_config",
     "configured",
     "select_apps",

@@ -9,7 +9,7 @@ measures. Usage::
 
 from __future__ import annotations
 
-import sys
+import argparse
 from typing import List
 
 from repro.experiments import (
@@ -218,12 +218,21 @@ def build_report() -> str:
 
 
 def main(argv=None) -> int:
-    argv = argv if argv is not None else sys.argv[1:]
-    output = argv[0] if argv else "EXPERIMENTS.md"
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments report",
+        description="Regenerate the paper-claims report.",
+    )
+    parser.add_argument(
+        "output",
+        nargs="?",
+        default="EXPERIMENTS.md",
+        help="file to write (default: EXPERIMENTS.md)",
+    )
+    args = parser.parse_args(argv)
     text = build_report()
-    with open(output, "w") as handle:
+    with open(args.output, "w") as handle:
         handle.write(text)
-    print(f"wrote {output}")
+    print(f"wrote {args.output}")
     return 0
 
 

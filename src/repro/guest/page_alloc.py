@@ -18,7 +18,7 @@ Two flavours, matching the two execution modes of the evaluation:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -119,10 +119,6 @@ class GuestPageAllocator:
     @property
     def free_pages(self) -> int:
         return (self._limit - self._bump) + len(self._recycled)
-
-    @property
-    def allocated_pages(self) -> int:
-        return len(self._allocated)
 
 
 class NativePageAllocator:

@@ -7,8 +7,8 @@ These classes live strictly on the guest side of that gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.vmm import GuestAddressSpace
@@ -41,12 +41,6 @@ class Process:
         self.name = name
         self.address_space = address_space
         self.threads: List[Thread] = []
-
-    def spawn_thread(self, vcpu_id: int) -> Thread:
-        """Create a thread pinned to ``vcpu_id``."""
-        thread = Thread(tid=len(self.threads), vcpu_id=vcpu_id)
-        self.threads.append(thread)
-        return thread
 
     @property
     def master(self) -> Thread:

@@ -60,9 +60,3 @@ class SyncModel:
         # remains; the loss saturates below 100% (memcached, the extreme
         # case at 127k switches/s, lands around the paper's ~700%).
         return min(overhead, 0.88)
-
-    def effective_ctx_rate(
-        self, ctx_switches_per_core_s: float, mcs_locks: bool
-    ) -> float:
-        """Observable context-switch rate (zero once MCS locks are in)."""
-        return 0.0 if mcs_locks else ctx_switches_per_core_s

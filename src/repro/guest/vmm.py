@@ -11,11 +11,10 @@ hypervisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import GuestFaultError
-from repro.guest.page_alloc import GuestPageAllocator
 from repro.guest.process import Thread
 
 #: Picks the backing page for a faulting virtual page:
@@ -75,19 +74,6 @@ class GuestAddressSpace:
         self._vmas.append(vma)
         return vma
 
-    def munmap(self, vma: Vma) -> int:
-        """Destroy a VMA, releasing every populated page. Returns count."""
-        released = 0
-        for vpfn in range(vma.start_vpfn, vma.end_vpfn):
-            if self.unmap_page(vpfn):
-                released += 1
-        self._vmas.remove(vma)
-        return released
-
-    @property
-    def vmas(self) -> List[Vma]:
-        return list(self._vmas)
-
     # ------------------------------------------------------------------
     # Faulting and translation
 
@@ -127,8 +113,3 @@ class GuestAddressSpace:
             return False
         self._release(frame)
         return True
-
-    @property
-    def resident_pages(self) -> int:
-        """Pages currently backed by a frame."""
-        return len(self._table)

@@ -3,7 +3,7 @@
 from repro.hardware.topology import Link, NumaTopology
 from repro.hardware.memory import MachineMemory, MemoryController
 from repro.hardware.interconnect import Interconnect
-from repro.hardware.cache import CacheHierarchy, CacheLevel, HitProfile
+from repro.hardware.cache import CacheHierarchy, CacheLevel
 from repro.hardware.latency import LatencyModel
 from repro.hardware.counters import PerfCounters, HotPageSample, HotPageSamples
 from repro.hardware.iommu import Iommu
@@ -18,7 +18,6 @@ __all__ = [
     "Interconnect",
     "CacheHierarchy",
     "CacheLevel",
-    "HitProfile",
     "LatencyModel",
     "PerfCounters",
     "HotPageSample",

@@ -4,13 +4,9 @@ AMD48 CPUs (Opteron 6174) have per-core L1 (64 KiB data, 5 cycles) and L2
 (512 KiB, 16 cycles) caches and a per-node L3 (5 MiB, 48 cycles) shared by
 the 6 cores of the node (paper section 5.1, Table 3).
 
-Applications in the simulator do not issue individual addresses, so the
-hierarchy is modelled statistically: given a thread's working-set size, the
-model estimates the fraction of accesses served by each level, and the
-remainder goes to memory. The estimate uses the classic ``size / working
-set`` occupancy approximation with a reuse exponent — crude, but it yields
-the right qualitative behaviour: small working sets are cache-resident and
-NUMA-insensitive, large ones hammer memory.
+The simulator charges memory accesses by NUMA distance, not by cache
+level, so the hierarchy only records the levels and their hit latencies
+(Table 3 reports them beside the memory latencies).
 """
 
 from __future__ import annotations
@@ -25,8 +21,7 @@ class CacheLevel:
 
     Attributes:
         name: "L1" / "L2" / "L3".
-        size_bytes: capacity available to one thread (L3 is divided among
-            sharers by the hierarchy before building profiles).
+        size_bytes: capacity of the level.
         latency_cycles: access latency on a hit.
     """
 
@@ -35,80 +30,14 @@ class CacheLevel:
     latency_cycles: float
 
 
-@dataclass(frozen=True)
-class HitProfile:
-    """Fraction of accesses served by each level and by memory.
-
-    ``level_fractions`` aligns with the hierarchy's levels; all fractions
-    plus ``memory_fraction`` sum to 1.
-    """
-
-    level_fractions: Tuple[float, ...]
-    memory_fraction: float
-
-    def average_cycles(self, levels: Tuple[CacheLevel, ...], memory_cycles: float) -> float:
-        """Average access cost given a memory latency in cycles."""
-        total = self.memory_fraction * memory_cycles
-        for frac, level in zip(self.level_fractions, levels):
-            total += frac * level.latency_cycles
-        return total
-
-
 class CacheHierarchy:
-    """A stack of cache levels with a statistical hit model.
+    """A stack of cache levels.
 
     Args:
         levels: ordered from closest (L1) to farthest (L3).
-        l3_sharers: number of cores sharing the last level.
-        reuse_exponent: shapes the hit-ratio curve ``(size/ws) ** exponent``;
-            values < 1 favour caches (temporal locality), > 1 punish them.
     """
 
-    def __init__(
-        self,
-        levels: Tuple[CacheLevel, ...],
-        l3_sharers: int = 1,
-        reuse_exponent: float = 0.5,
-    ):
+    def __init__(self, levels: Tuple[CacheLevel, ...]):
         if not levels:
             raise ValueError("need at least one cache level")
         self.levels = levels
-        self.l3_sharers = max(1, l3_sharers)
-        self.reuse_exponent = reuse_exponent
-
-    def hit_profile(self, working_set_bytes: float, l3_contended: bool = True) -> HitProfile:
-        """Estimate per-level hit fractions for a working set.
-
-        Args:
-            working_set_bytes: bytes the thread actively touches.
-            l3_contended: divide L3 capacity among its sharers (the common
-                case when all cores of a node run threads of the same app).
-        """
-        remaining = 1.0
-        fractions = []
-        ws = max(1.0, working_set_bytes)
-        for level in self.levels:
-            size = level.size_bytes
-            if level.name == "L3" and l3_contended:
-                size = size / self.l3_sharers
-            if ws <= size:
-                ratio = 1.0
-            else:
-                ratio = (size / ws) ** self.reuse_exponent
-            hit = remaining * min(1.0, ratio)
-            fractions.append(hit)
-            remaining -= hit
-            if remaining <= 1e-12:
-                remaining = 0.0
-                break
-        # Pad fractions if we exited early.
-        while len(fractions) < len(self.levels):
-            fractions.append(0.0)
-        return HitProfile(tuple(fractions), remaining)
-
-    def average_access_cycles(
-        self, working_set_bytes: float, memory_cycles: float, l3_contended: bool = True
-    ) -> float:
-        """Average cycles per access for a working set and memory latency."""
-        profile = self.hit_profile(working_set_bytes, l3_contended)
-        return profile.average_cycles(self.levels, memory_cycles)

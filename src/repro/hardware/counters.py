@@ -14,8 +14,8 @@ model that exclusivity with an ``owner`` claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class HotPageSample:
     def total(self) -> int:
         return int(sum(self.node_accesses))
 
-    @property
-    def dominant_node(self) -> int:
-        return int(np.argmax(self.node_accesses))
-
 
 class HotPageSamples(Sequence[HotPageSample]):
     """A hot-page sample stream held as columns.
@@ -55,7 +51,7 @@ class HotPageSamples(Sequence[HotPageSample]):
     decide path consumes them as arrays, so the stream never needs to
     exist as per-sample objects. Indexing and iteration still materialise
     :class:`HotPageSample` values, so scalar consumers (the per-sample
-    heuristics, :func:`sample_hot_pages`) read it like a list.
+    heuristics of the test oracles) read it like a list.
 
     Attributes:
         pages: page identifier per sample (int64).
@@ -179,14 +175,6 @@ class PerfCounters:
         m = self.matrix if matrix is None else matrix
         return m.sum(axis=0)
 
-    def local_access_fraction(self, matrix: Optional[np.ndarray] = None) -> float:
-        """Fraction of accesses that were node-local."""
-        m = self.matrix if matrix is None else matrix
-        total = m.sum()
-        if total == 0:
-            return 1.0
-        return float(np.trace(m) / total)
-
     def imbalance(self, matrix: Optional[np.ndarray] = None) -> float:
         """Relative standard deviation of per-node access counts.
 
@@ -199,47 +187,3 @@ class PerfCounters:
         if mean == 0:
             return 0.0
         return float(counts.std() / mean)
-
-
-def sample_hot_pages(
-    page_profiles: Sequence[HotPageSample],
-    sampling_rate: float,
-    rng: np.random.Generator,
-    max_samples: Optional[int] = None,
-) -> List[HotPageSample]:
-    """Thin exact page access profiles the way IBS sampling would.
-
-    Each page's per-node counts are binomially subsampled at
-    ``sampling_rate``; pages whose sampled total is zero disappear (cold
-    pages are invisible to IBS). Results are sorted hottest-first.
-
-    Args:
-        page_profiles: exact access profiles from the simulation engine.
-        sampling_rate: probability that one access produces a sample.
-        rng: random generator (deterministic runs use a seeded one).
-        max_samples: optional cap on the number of pages returned.
-    """
-    if not 0.0 < sampling_rate <= 1.0:
-        raise ValueError("sampling_rate must be in (0, 1]")
-    sampled: List[HotPageSample] = []
-    for profile in page_profiles:
-        counts = np.asarray(profile.node_accesses, dtype=np.int64)
-        if sampling_rate >= 1.0:
-            thinned = counts
-        else:
-            thinned = rng.binomial(counts, sampling_rate)
-        total = int(thinned.sum())
-        if total == 0:
-            continue
-        sampled.append(
-            HotPageSample(
-                page=profile.page,
-                domain_id=profile.domain_id,
-                node_accesses=tuple(int(c) for c in thinned),
-                write_fraction=profile.write_fraction,
-            )
-        )
-    sampled.sort(key=lambda s: s.total, reverse=True)
-    if max_samples is not None:
-        sampled = sampled[:max_samples]
-    return sampled

@@ -26,16 +26,6 @@ class Interconnect:
         self._keys: Tuple[LinkKey, ...] = tuple(l.key for l in topology.links)
         self._route_incidence: Optional[np.ndarray] = None
 
-    def record_access(self, src: int, dst: int, nbytes: int) -> None:
-        """Account ``nbytes`` flowing along the route from ``src`` to ``dst``.
-
-        Local accesses (src == dst) touch no link.
-        """
-        if src == dst or nbytes == 0:
-            return
-        for link in self.topology.route(src, dst):
-            self._bytes[link.key] += nbytes
-
     def route_incidence(self) -> np.ndarray:
         """0/1 matrix mapping flattened ``(src, dst)`` pairs to links.
 
@@ -55,25 +45,6 @@ class Interconnect:
             if nbytes:
                 self._bytes[key] += nbytes
 
-    def record_access_matrix(self, byte_matrix: np.ndarray) -> None:
-        """Account a whole ``(n, n)`` matrix of per-route byte counts.
-
-        State-identical to calling :meth:`record_access` on every
-        ``(src, dst)`` pair: per-link totals are integer sums of the same
-        per-pair byte counts (integer addition is order-free), computed
-        as one integer matrix product against the 0/1 route-incidence
-        matrix instead of ``n**2`` python route walks. This is the engine
-        hot path — one call per world per epoch.
-        """
-        if not self._keys:
-            return
-        link_bytes = byte_matrix.reshape(-1) @ self.route_incidence()
-        self.record_link_bytes(link_bytes.tolist())
-
-    def bytes_on(self, link: Link) -> int:
-        """Bytes accounted on ``link`` this epoch."""
-        return self._bytes[link.key]
-
     def utilization(self, link: Link, seconds: float) -> float:
         """Fraction of ``link`` bandwidth used over ``seconds`` (unclamped)."""
         if seconds <= 0:
@@ -87,18 +58,6 @@ class Interconnect:
             link.key: self.utilization(link, seconds)
             for link in self.topology.links
         }
-
-    def max_utilization(self, seconds: float) -> float:
-        """Utilisation of the most loaded link (the paper's congestion signal)."""
-        utils = self.utilizations(seconds)
-        return max(utils.values(), default=0.0)
-
-    def route_utilization(self, src: int, dst: int, seconds: float) -> float:
-        """Max utilisation along the route ``src`` -> ``dst`` (0 if local)."""
-        route = self.topology.route(src, dst)
-        if not route:
-            return 0.0
-        return max(self.utilization(link, seconds) for link in route)
 
     def reset(self) -> None:
         """Clear per-epoch counters."""

@@ -15,7 +15,7 @@ without trapping into the hypervisor. Two properties matter for the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,7 +84,3 @@ class Iommu:
         """
         events, self._error_log = self._error_log, []
         return events
-
-    @property
-    def pending_errors(self) -> int:
-        return len(self._error_log)

@@ -150,7 +150,3 @@ class LatencyModel:
     def cycles_to_seconds(self, cycles: Rho) -> Rho:
         """Convert CPU cycles to seconds at the model's frequency."""
         return cycles / (self.freq_ghz * 1e9)
-
-    def seconds_to_cycles(self, seconds: Rho) -> Rho:
-        """Convert seconds to CPU cycles at the model's frequency."""
-        return seconds * self.freq_ghz * 1e9

@@ -3,8 +3,8 @@
 A ``Machine`` owns a topology, the machine memory with its per-node
 controllers, the interconnect, a cache hierarchy, the calibrated latency
 model, performance counters and the IOMMU. The simulation engine records
-all memory traffic through :meth:`record_node_traffic` so that controllers,
-links and counters stay consistent.
+all memory traffic through :func:`record_node_traffic_many` so that
+controllers, links and counters stay consistent.
 """
 
 from __future__ import annotations
@@ -83,28 +83,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Epoch accounting
 
-    def record_node_traffic(self, matrix: np.ndarray) -> None:
-        """Account one epoch's access matrix on every hardware component.
-
-        ``matrix[src, dst]`` is the number of memory accesses issued from
-        node ``src`` to frames of node ``dst``. Each access moves one cache
-        line over the route and through the destination controller.
-        """
-        if matrix.shape != (self.num_nodes, self.num_nodes):
-            raise ValueError("access matrix shape mismatch")
-        self.counters.record_matrix(matrix)
-        col_bytes = matrix.sum(axis=0) * CACHE_LINE_BYTES
-        for node, nbytes in enumerate(col_bytes.tolist()):
-            if nbytes:
-                self.memory.controllers[node].serve(int(nbytes))
-        # Truncation per pair matches the old per-pair int() exactly
-        # (access counts are non-negative), and per-link integer sums are
-        # order-free, so the vectorized recording is state-identical to
-        # the old per-(src, dst) record_access loop.
-        byte_matrix = (matrix * CACHE_LINE_BYTES).astype(np.int64)
-        np.fill_diagonal(byte_matrix, 0)
-        self.interconnect.record_access_matrix(byte_matrix)
-
     def record_link_traffic(self, link_bytes: Iterable[int]) -> None:
         """Add precomputed per-link byte counts (``topology.links`` order)."""
         self.interconnect.record_link_bytes(link_bytes)
@@ -142,8 +120,9 @@ def record_node_traffic_many(
     """Account one epoch of traffic on many machines at once.
 
     ``stacked[w]`` is machine ``w``'s access matrix. State-identical to
-    calling :meth:`Machine.record_node_traffic` per machine — the same
-    per-world arithmetic, with the fixed numpy overheads (dtype cast,
+    recording each machine's matrix on its own (the per-machine oracle
+    in ``tests/properties/engine_oracle.py``) — the same per-world
+    arithmetic, with the fixed numpy overheads (dtype cast,
     diagonal clear, route matmul) paid once per epoch instead of once
     per world. Callers must have checked the machines share a topology
     (routes and link order), as the multi-run grouper does; the route

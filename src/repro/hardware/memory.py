@@ -161,10 +161,6 @@ class NodeMemoryStats:
     free_frames: int
     largest_extent: int
 
-    @property
-    def used_frames(self) -> int:
-        return self.total_frames - self.free_frames
-
 
 class MachineMemory:
     """All machine frames, partitioned into per-node NUMA regions.

@@ -65,8 +65,7 @@ def amd48_caches() -> CacheHierarchy:
             CacheLevel("L1", 64 * 1024, 5.0),
             CacheLevel("L2", 512 * 1024, 16.0),
             CacheLevel("L3", 5 * 1024 * 1024, 48.0),
-        ),
-        l3_sharers=6,
+        )
     )
 
 
@@ -88,33 +87,4 @@ def amd48(
         latency=latency or LatencyModel(freq_ghz=2.2),
         config=config,
         iommu_enabled=iommu_enabled,
-    )
-
-
-def small_machine(
-    num_nodes: int = 2,
-    cpus_per_node: int = 2,
-    frames_per_node: int = 1024,
-    config: SimConfig = DEFAULT_CONFIG,
-) -> Machine:
-    """A tiny fully-connected machine for unit tests."""
-    links = [
-        Link(a, b, INTER_SOCKET_GIB_S)
-        for a in range(num_nodes)
-        for b in range(a + 1, num_nodes)
-    ]
-    topo = NumaTopology(
-        num_nodes=num_nodes,
-        cpus_per_node=cpus_per_node,
-        links=links,
-        memory_controller_gib_s=CONTROLLER_GIB_S,
-        node_memory_gib=NODE_MEMORY_GIB,
-        pci_nodes=(0,),
-    )
-    return Machine(
-        topology=topo,
-        caches=amd48_caches(),
-        latency=LatencyModel(),
-        frames_per_node=frames_per_node,
-        config=config,
     )

@@ -21,7 +21,7 @@ page tables live on a remote node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import ReproError
@@ -59,8 +59,7 @@ class TlbModel:
         walk_cycles_local: cycles of a nested (2D) page walk when the
             page-table pages are node-local.
         walk_cycles_remote_penalty: extra cycles when they are remote.
-        reuse_exponent: locality shaping of the miss curve (like the
-            cache model's).
+        reuse_exponent: locality shaping of the miss curve.
     """
 
     levels: Tuple[TlbLevel, ...] = (

@@ -160,13 +160,6 @@ class NumaTopology:
         """Maximum hop distance between any two nodes."""
         return max(len(r) for r in self._routes.values())
 
-    def distance_matrix(self) -> List[List[int]]:
-        """``matrix[src][dst]`` = hop count."""
-        return [
-            [self.hops(s, d) for d in range(self.num_nodes)]
-            for s in range(self.num_nodes)
-        ]
-
     def route_link_matrix(self) -> np.ndarray:
         """The routing tables as a dense 0/1 matrix.
 

@@ -1,6 +1,6 @@
 """Xen-like hypervisor: domains, p2m, heap allocator, hypercalls, scheduler."""
 
-from repro.hypervisor.p2m import P2MEntry, P2MTable
+from repro.hypervisor.p2m import P2MTable
 from repro.hypervisor.domain import Domain, VCpu
 from repro.hypervisor.allocator import XenHeapAllocator, choose_home_nodes
 from repro.hypervisor.hypercalls import Hypercall, HypercallTable, HypercallCostModel
@@ -20,7 +20,6 @@ def __getattr__(name):
     raise AttributeError(name)
 
 __all__ = [
-    "P2MEntry",
     "P2MTable",
     "Domain",
     "VCpu",

@@ -115,11 +115,6 @@ class Domain:
         self._ensure_image()
         self._memory_image[gpfns] = source.read_stamps(gpfns)
 
-    def image_snapshot(self) -> np.ndarray:
-        """Full copy of the content image (oracle/byte-identity checks)."""
-        self._ensure_image()
-        return self._memory_image.copy()
-
     @property
     def is_dom0(self) -> bool:
         return self.domain_id == 0
@@ -127,10 +122,6 @@ class Domain:
     @property
     def num_vcpus(self) -> int:
         return len(self.vcpus)
-
-    def pin_vcpu(self, vcpu_id: int, pcpu: int) -> None:
-        """Hard-pin one vCPU to a physical CPU."""
-        self.vcpus[vcpu_id].pinned_pcpu = pcpu
 
     def gpfn_range(self) -> range:
         """All guest-physical frame numbers of the domain."""

@@ -14,7 +14,7 @@ remapped; we account their cost.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from repro.hypervisor.allocator import XenHeapAllocator
 from repro.hypervisor.domain import Domain
 from repro.obs.metrics import cell_attr
 from repro.util import accumulate_cost
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.policies.base import NumaPolicy
 
 
 class FaultStats:

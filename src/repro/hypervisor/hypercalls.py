@@ -118,10 +118,6 @@ class HypercallTable:
             self.stats[call] = (count + 1, seconds + cost)
         return result
 
-    def cost_of_call(self, call: Hypercall, args: Any = None) -> float:
-        """Predicted duration of one call (used by the engine's time model)."""
-        return self._cost_of(call, args)
-
     def _cost_of(self, call: Hypercall, args: Any) -> float:
         if call is Hypercall.NUMA_PAGE_EVENTS and args is not None:
             try:
@@ -129,8 +125,3 @@ class HypercallTable:
             except TypeError:
                 return self.costs.flush_cost(0)
         return self.costs.base_seconds
-
-    def reset_stats(self) -> None:
-        """Clear accounting."""
-        for call in Hypercall:
-            self.stats[call] = (0, 0.0)

@@ -16,7 +16,7 @@ the guest breakdown follows its narrative: trap, route, kick, re-enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.errors import SchedulerError
 
@@ -70,11 +70,6 @@ class IpiModel:
             return self._components[mode]
         except KeyError:
             raise SchedulerError(f"unknown IPI mode {mode!r}") from None
-
-    def repartition(self, mode: str) -> Dict[str, float]:
-        """Fraction of total cost per component (Figure 5's bar layout)."""
-        total = self.cost(mode)
-        return {c.name: c.seconds / total for c in self.components(mode)}
 
     def wakeup_overhead(self, context_switches_per_s: float, mode: str) -> float:
         """Seconds of IPI overhead per second of run for a switch rate.

@@ -17,7 +17,7 @@ replaced (kept as the test-only oracle ``tests/properties/p2m_oracle.py``)
 — the table is contiguous array state: parallel ``mfn``/``flags``/``node``
 arrays indexed by gpfn, with maintained entry/valid counts. The scalar
 method API is unchanged; ``set_entries``/``invalidate_many``/
-``translate_many`` operate on whole gpfn arrays. An attached sanitizer
+``mfns_if_valid`` operate on whole gpfn arrays. An attached sanitizer
 checks a batch in place through its batch hooks: a trap raises the
 message the per-entry loop would raise first and leaves the table
 unchanged. Only duplicate gpfns send a batch through the per-entry loop.
@@ -25,8 +25,7 @@ unchanged. Only duplicate gpfns send a batch through the per-entry loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,29 +43,12 @@ WRITABLE = 4
 _GpfnArray = Union[Sequence[int], np.ndarray]
 
 
-@dataclass
-class P2MEntry:
-    """One hypervisor page table entry (plain-record form).
-
-    The array backend hands out live :class:`P2MEntryView` objects with
-    the same attributes; this dataclass remains the storage of the
-    dict-backed test oracle and the documented shape of an entry.
-
-    Attributes:
-        mfn: backing machine frame.
-        valid: invalid entries fault on access (first-touch trap).
-        writable: cleared during migration to freeze the page content.
-    """
-
-    mfn: int
-    valid: bool = True
-    writable: bool = True
-
-
 class P2MEntryView:
     """Live view of one array-backed entry.
 
-    Attribute-compatible with :class:`P2MEntry`; reads and writes go
+    ``mfn`` is the backing machine frame, an entry that is not ``valid``
+    faults on access (the first-touch trap), and ``writable`` is cleared
+    during migration to freeze the page content. Reads and writes go
     straight to the table's arrays (the sanitizer tests flip ``writable``
     through this view to forge out-of-order migrations).
     """
@@ -398,19 +380,6 @@ class P2MTable:
             raise P2MError(f"invalid p2m entry for gpfn {gpfn:#x}")
         return int(self._mfn[gpfn])
 
-    def translate_many(self, gpfns: _GpfnArray) -> np.ndarray:
-        """Translate a whole gpfn array; raises on the first invalid one."""
-        gpfns = np.asarray(gpfns, dtype=np.int64)
-        if gpfns.size == 0:
-            return np.empty(0, dtype=np.int64)
-        in_range = (gpfns >= 0) & (gpfns < self._mfn.size)
-        valid = np.zeros(gpfns.shape, dtype=bool)
-        valid[in_range] = (self._flags[gpfns[in_range]] & VALID) != 0
-        if not valid.all():
-            bad = int(gpfns[np.argmin(valid)])
-            raise P2MError(f"invalid p2m entry for gpfn {bad:#x}")
-        return self._mfn[gpfns].copy()
-
     def mfn_if_valid(self, gpfn: int) -> int:
         """The backing mfn, or -1 when the access would fault.
 
@@ -424,7 +393,7 @@ class P2MTable:
     def mfns_if_valid(self, gpfns: _GpfnArray) -> np.ndarray:
         """Batch :meth:`mfn_if_valid`: backing mfn per gpfn, -1 where faulting.
 
-        Unlike :meth:`translate_many` this never raises — the batch init
+        Unlike :meth:`translate` this never raises — the batch init
         path uses it to split a segment into its translating and faulting
         subsets.
         """
@@ -436,12 +405,6 @@ class P2MTable:
             (self._flags[sel] & VALID) != 0, self._mfn[sel], -1
         )
         return out
-
-    def is_valid(self, gpfn: int) -> bool:
-        """True if ``gpfn`` currently translates without faulting."""
-        return bool(
-            0 <= gpfn < self._mfn.size and self._flags[gpfn] & VALID
-        )
 
     def is_writable(self, gpfn: int) -> bool:
         """True if a guest write to ``gpfn`` would not trap."""
@@ -562,11 +525,6 @@ class P2MTable:
 
     # ------------------------------------------------------------------
     # Introspection
-
-    def valid_entries(self) -> Iterator[Tuple[int, P2MEntryView]]:
-        """Iterate (gpfn, entry) over valid entries."""
-        for gpfn in np.nonzero(self._flags & VALID)[0].tolist():
-            yield gpfn, P2MEntryView(self, gpfn)
 
     def valid_gpfns(self) -> np.ndarray:
         """All currently valid gpfns, ascending (a fresh array).

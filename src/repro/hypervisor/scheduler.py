@@ -11,7 +11,7 @@ progress, and validates placement requests.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SchedulerError
 from repro.hypervisor.domain import Domain, VCpu
@@ -81,10 +81,6 @@ class Scheduler:
         except KeyError:
             raise SchedulerError(f"vcpu {vcpu.key} is not placed") from None
 
-    def runqueue(self, pcpu: int) -> Tuple[VcpuKey, ...]:
-        """vCPUs sharing physical CPU ``pcpu``."""
-        return tuple(self._runqueues.get(pcpu, ()))
-
     def cpu_share(self, vcpu: VCpu) -> float:
         """Fraction of its pCPU this vCPU receives (credit fair share)."""
         pcpu = self.pcpu_of(vcpu)
@@ -94,7 +90,3 @@ class Scheduler:
     def occupied_pcpus(self) -> Tuple[int, ...]:
         """Physical CPUs with at least one vCPU."""
         return tuple(sorted(p for p, q in self._runqueues.items() if q))
-
-    def max_sharers(self) -> int:
-        """Largest runqueue length (1 = dedicated CPUs everywhere)."""
-        return max((len(q) for q in self._runqueues.values()), default=0)

@@ -15,7 +15,7 @@ way the paper does rather than forking the hypervisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -241,10 +241,6 @@ class Hypervisor:
     def pause_domain(self, domain: Domain) -> None:
         """Freeze the domain's vCPUs (stop-and-copy window)."""
         domain.paused = True
-
-    def resume_domain(self, domain: Domain) -> None:
-        """Let the domain's vCPUs run again."""
-        domain.paused = False
 
     def set_write_fault_handler(self, domain: Domain, handler) -> None:
         """Route the domain's write-protection faults to ``handler(gpfn)``.

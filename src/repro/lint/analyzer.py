@@ -2,7 +2,7 @@
 
 Two rule populations run here: the per-file AST rules (RPR001-RPR005),
 which see one :class:`FileContext` at a time, and the project-wide
-dataflow rules (RPR006-RPR010), which need the cross-module
+dataflow rules (RPR006-RPR011), which need the cross-module
 :class:`~repro.lint.project.ProjectContext` (symbol table, call graph,
 effect summaries). Project rules are strict-mode machinery: the
 analyzer builds the project context and runs them only when asked

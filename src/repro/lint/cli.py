@@ -5,7 +5,8 @@ Modes:
 * default — the per-file architectural rules (RPR001-RPR005), exactly
   as before;
 * ``--strict`` — additionally runs the project-wide dataflow rules
-  (RPR006-RPR010: shared state, purity, p2m typestate, array aliasing)
+  (RPR006-RPR011: shared state, purity, p2m typestate, array aliasing,
+  reachability)
   and subtracts the committed baseline; any residual finding fails;
 * ``--baseline-update`` — reruns the strict rule set and regenerates
   the baseline file deterministically (sorted, stable keys).
@@ -42,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "migration protocol ordering, typed errors, determinism) and, "
             "in --strict mode, the project-wide dataflow rules (shared "
             "mutable state, purity of the execute_request closure, p2m "
-            "typestate, ndarray aliasing)."
+            "typestate, ndarray aliasing, reachability of every function)."
         ),
     )
     parser.add_argument(

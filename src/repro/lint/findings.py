@@ -49,19 +49,6 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Union[str, int]]) -> "Finding":
-        """Rebuild a finding from its :meth:`to_dict` form (round-trip)."""
-        return cls(
-            rule_id=str(payload["rule_id"]),
-            rule_name=str(payload["rule_name"]),
-            path=str(payload["file"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            message=str(payload["message"]),
-            severity=str(payload.get("severity", "error")),
-        )
-
     def render(self) -> str:
         """``path:line:col: RULE [name] message`` — one line per finding."""
         return (

@@ -1,7 +1,7 @@
 """Project-wide dataflow: symbol table, call graph, effect summaries.
 
 The per-file rules (RPR001-RPR005) see one AST at a time. The dataflow
-rule families (RPR006-RPR010) need to answer *cross-module* questions —
+rule families (RPR006-RPR011) need to answer *cross-module* questions —
 "who writes this module-level dict", "what can ``execute_request``
 reach", "does this callee touch the wall clock" — so this module builds
 one :class:`ProjectContext` over every analyzed file:
@@ -450,7 +450,6 @@ class ProjectContext:
 
         Nested defs/lambdas are attributed to ``fn`` (see module doc).
         """
-        mod = fn.module
         locals_ = local_bindings(fn.node)
         globals_declared: Set[str] = set()
         for node in ast.walk(fn.node):
@@ -685,12 +684,16 @@ class ProjectContext:
                 fn2 = mod.functions.get(f"{mod.name}.{name}")
                 if fn2 is not None:
                     return [fn2.qname]
-        # Unique-suffix match over all function qnames.
+        resolved = self.resolve_function(qualified)
+        return [resolved] if resolved is not None else []
+
+    def resolve_function(self, qualified: str) -> Optional[str]:
+        """A function qname by exact name, else unique qname suffix."""
+        if qualified in self.functions:
+            return qualified
         suffix = "." + qualified
-        matches = sorted(
-            q for q in self.functions if q.endswith(suffix)
-        )
-        return matches if len(matches) == 1 else []
+        matches = [q for q in self.functions if q.endswith(suffix)]
+        return matches[0] if len(matches) == 1 else None
 
     def _resolve_self_method(
         self, fn: FunctionInfo, meth: str
@@ -835,7 +838,7 @@ class ProjectRule(Rule):
         raise NotImplementedError
 
     def project_finding(
-        self, path: str, node: ast.AST, message: str
+        self, path: str, node: Optional[ast.AST], message: str
     ) -> Finding:
         return Finding(
             rule_id=self.rule_id,

@@ -11,6 +11,7 @@ from repro.lint.rules.hypercall_validation import HypercallValidationRule
 from repro.lint.rules.migration_protocol import MigrationProtocolRule
 from repro.lint.rules.p2m_typestate import P2MTypestateRule
 from repro.lint.rules.purity import PurityRule
+from repro.lint.rules.reachability import ReachabilityRule
 from repro.lint.rules.shared_state import SharedMutableStateRule
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "P2MTypestateRule",
     "ArrayAliasReturnRule",
     "ArrayAliasParamRule",
+    "ReachabilityRule",
 ]

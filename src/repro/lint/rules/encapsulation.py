@@ -28,15 +28,15 @@ FORBIDDEN_MODULES = (
 
 #: Names whose import reveals hypervisor memory internals.
 FORBIDDEN_IMPORT_NAMES = frozenset(
-    {"P2MTable", "P2MEntry", "XenHeapAllocator", "MachineMemory"}
+    {"P2MTable", "XenHeapAllocator", "MachineMemory"}
 )
 
 #: Attribute accesses that reach through the interface.
 FORBIDDEN_ATTRS = frozenset({"p2m", "allocator"})
 
 #: Frame/p2m mutators a policy must never call directly — the sanctioned
-#: spellings are InternalInterface.map_page / migrate_page /
-#: invalidate_page / populate_*.
+#: spellings are InternalInterface.migrate_page / invalidate_page /
+#: populate_*.
 FORBIDDEN_CALLS = frozenset(
     {
         "set_entry",
@@ -58,8 +58,8 @@ class InterfaceEncapsulationRule(Rule):
     name = "interface-encapsulation"
     description = (
         "Policy-layer modules (core/policies, carrefour) may only reach "
-        "the hypervisor through the internal interface (map_page, "
-        "migrate_page, invalidate_page, populate_*); importing p2m or "
+        "the hypervisor through the internal interface (migrate_page, "
+        "invalidate_page, populate_*); importing p2m or "
         "allocator internals, or touching .p2m/.allocator attributes and "
         "frame mutators, breaks the paper's section 4.1 isolation."
     )
@@ -109,7 +109,7 @@ class InterfaceEncapsulationRule(Rule):
                 ctx,
                 node,
                 f"policy layer reaches hypervisor state via .{node.attr}; "
-                f"use the internal interface (map_page/migrate_page/"
+                f"use the internal interface (migrate_page/"
                 f"invalidate_page/populate_*) instead",
             )
 

@@ -11,7 +11,7 @@ layers — the complementary check that does not need the sequence to run.
 The automaton (states: unknown, mapped, invalid, write-protected,
 freed):
 
-* ``set_entry``/``map_page`` (re)populate from any state;
+* ``set_entry`` (re)populates from any state;
 * ``invalidate``/``invalidate_page`` need a mapped entry — invalidating
   a write-protected page abandons an in-flight migration;
 * ``write_protect`` needs a mapped, unprotected entry (double-protect
@@ -56,13 +56,6 @@ VIOLATION = None  # sentinel transition result
 #: the state assumed when the op is the first we see for a key.
 TRANSITIONS: Dict[str, Dict[str, Optional[str]]] = {
     "set_entry": {
-        UNKNOWN: MAPPED,
-        MAPPED: MAPPED,
-        INVALID: MAPPED,
-        PROTECTED: MAPPED,
-        FREED: MAPPED,
-    },
-    "map_page": {
         UNKNOWN: MAPPED,
         MAPPED: MAPPED,
         INVALID: MAPPED,

@@ -15,8 +15,8 @@ The static rules freeze the architecture; this module checks the
 One :class:`P2MSanitizer` is owned by one hypervisor and attached to its
 machine memory and to each domain's p2m table (``.sanitizer``
 attributes, ``None`` when disabled — the hooks cost one attribute check
-each). :func:`enable` / :func:`disable` are the one switch (the tier-1
-test suite enables it via ``tests/conftest.py``); the sanitizer only
+each). :func:`enable` is the one switch, both ways (the tier-1 test
+suite enables it via ``tests/conftest.py``); the sanitizer only
 checks — a run either raises or yields the same numbers — so it is no
 part of a run's cache identity.
 
@@ -56,14 +56,10 @@ class _SanitizerMode:
 _MODE = _SanitizerMode()
 
 
-def enable() -> None:
-    """Attach a sanitizer to every hypervisor created from now on."""
-    _MODE.enabled = True
-
-
-def disable() -> None:
-    """Stop attaching sanitizers to newly created hypervisors."""
-    _MODE.enabled = False
+def enable(on: bool = True) -> None:
+    """Attach a sanitizer to every hypervisor created from now on, or,
+    with ``on`` False, stop attaching them."""
+    _MODE.enabled = on
 
 
 def is_enabled() -> bool:

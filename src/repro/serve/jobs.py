@@ -167,7 +167,3 @@ class JobQueue:
         """Stop admitting; queued jobs still drain, workers then stop."""
         self._closed = True
         self._wakeup.set()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

@@ -38,7 +38,7 @@ from repro.obs.trace import build_payload
 from repro.runstore.base import RunStore
 from repro.runstore.memory import MemoryRunStore
 from repro.serve import protocol
-from repro.serve.jobs import ATTACHED, CLOSED, FULL, QUEUED, Job, JobQueue
+from repro.serve.jobs import ATTACHED, CLOSED, QUEUED, Job, JobQueue
 from repro.serve.workers import ExecutionBackend, ProcessBackend, WorkerDied
 from repro.sim.results import RunResult
 from repro.sim.runspec import RunRequest
@@ -205,10 +205,6 @@ class ReproServer:
         if self._server is not None:
             await self._server.wait_closed()
         self._stopped.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     # ------------------------------------------------------------------
     # Admission (also the direct, socket-free API the tests drive)

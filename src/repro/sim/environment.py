@@ -24,7 +24,7 @@ from repro.guest.sync import SyncModel
 from repro.guest.vmm import GuestAddressSpace
 from repro.hardware.machine import Machine
 from repro.hardware.presets import amd48
-from repro.hypervisor.xen import Hypervisor, XenFeatures, XEN, XEN_PLUS
+from repro.hypervisor.xen import Hypervisor, XenFeatures, XEN_PLUS
 from repro.sim.host import Host
 from repro.sim.calibration import calibrate_app
 from repro.sim.instance import AppRun, RuntimeSegment, ThreadCtx

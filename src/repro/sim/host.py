@@ -10,12 +10,10 @@ host and a *destination* host as ordinary values.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
 
 from repro.config import SimConfig
 from repro.hardware.machine import Machine
-from repro.hardware.presets import amd48
-from repro.hypervisor.xen import Hypervisor, XenFeatures, XEN_PLUS
+from repro.hypervisor.xen import Hypervisor
 
 
 class Host:
@@ -33,25 +31,6 @@ class Host:
         self.host_id = host_id
         self.machine = machine
         self.hypervisor = hypervisor
-
-    @classmethod
-    def create(
-        cls,
-        host_id: int = 0,
-        config: Optional[SimConfig] = None,
-        features: XenFeatures = XEN_PLUS,
-        machine_factory: Optional[Callable[[], Machine]] = None,
-    ) -> "Host":
-        """Boot a fresh host: build the machine, then the hypervisor on it."""
-        if machine_factory is not None:
-            machine = machine_factory()
-        else:
-            machine = amd48(config=config or SimConfig())
-        return cls(
-            host_id=host_id,
-            machine=machine,
-            hypervisor=Hypervisor(machine, features=features),
-        )
 
     @property
     def config(self) -> SimConfig:

@@ -10,7 +10,7 @@ through the real hypervisor page-fault path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.core.policies.base import EpochObservation
 from repro.hardware.counters import HotPageSample, HotPageSamples
 from repro.sim.calibration import OpModel
 from repro.sim.placement import SegmentPlacement
-from repro.sim.results import EpochRecord, RunResult
+from repro.sim.results import EpochRecord
 from repro.workloads.app import AppSpec, SegmentDef
 
 #: Fraction of a shared segment's pages forming the "hot subset".

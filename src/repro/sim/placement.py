@@ -109,10 +109,6 @@ class SegmentPlacement:
     def mapped_pages(self) -> int:
         return int(self.counts.sum())
 
-    def node_of(self, idx: int) -> Optional[int]:
-        node = int(self.nodes[idx])
-        return node if node >= 0 else None
-
     def distribution(self, hot_weight: float = 0.0) -> np.ndarray:
         """Access probability per destination node for this segment.
 
@@ -135,19 +131,6 @@ class SegmentPlacement:
             # its weight like the cold pages until it lands somewhere.
             cold = uniform
         return cold
-
-    def verify_against(self, node_lookup) -> bool:
-        """Debug helper: check the view matches an authoritative lookup.
-
-        Args:
-            node_lookup: callable(idx) -> node or None.
-        """
-        for idx in range(self.num_pages):
-            expected = node_lookup(idx)
-            actual = self.node_of(idx)
-            if expected != actual:
-                return False
-        return True
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from repro.vio.disk import DiskModel, IoMode
 from repro.vio.dma import DmaEngine, DmaTransfer
-from repro.vio.drivers import ParavirtDriver, PassthroughDriver, make_driver
+from repro.vio.drivers import ParavirtDriver, PassthroughDriver
 
 __all__ = [
     "DiskModel",
@@ -11,5 +11,4 @@ __all__ = [
     "DmaTransfer",
     "ParavirtDriver",
     "PassthroughDriver",
-    "make_driver",
 ]

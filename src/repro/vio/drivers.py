@@ -12,13 +12,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.config import SimConfig
-from repro.errors import ReproError
 from repro.hypervisor.domain import Domain
 from repro.vio.disk import DiskModel, IoMode
-from repro.vio.dma import DmaEngine, DmaTransfer
+from repro.vio.dma import DmaEngine
 
 
 @dataclass
@@ -93,22 +92,3 @@ class PassthroughDriver:
         seconds = self.disk.read_seconds(nbytes, block_bytes, self.mode)
         self.bytes_read += nbytes
         return ReadResult(nbytes=nbytes, seconds=seconds)
-
-
-def make_driver(
-    io_mode: str,
-    disk: DiskModel,
-    dom0: Optional[Domain] = None,
-    dma: Optional[DmaEngine] = None,
-    config: Optional[SimConfig] = None,
-):
-    """Build the driver matching a hypervisor's ``io_mode`` answer."""
-    if io_mode == "paravirt":
-        if dom0 is None:
-            raise ReproError("paravirt driver needs dom0")
-        return ParavirtDriver(disk, dom0)
-    if io_mode == "passthrough":
-        if dma is None or config is None:
-            raise ReproError("passthrough driver needs a DMA engine and config")
-        return PassthroughDriver(disk, dma, config)
-    raise ReproError(f"unknown io mode {io_mode!r}")

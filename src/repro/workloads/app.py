@@ -14,8 +14,8 @@ memory-segment layout the simulation engine executes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.config import SimConfig
 from repro.errors import WorkloadError

@@ -152,8 +152,3 @@ def get_app(name: str) -> AppSpec:
         raise WorkloadError(
             f"unknown application {name!r}; known: {', '.join(APP_NAMES)}"
         ) from None
-
-
-def apps_in_class(klass: str) -> List[AppSpec]:
-    """All applications of one imbalance class ("low"/"moderate"/"high")."""
-    return [app for app in APPLICATIONS if app.imbalance_class == klass]

@@ -1,6 +1,5 @@
 """ASCII figure rendering."""
 
-import pytest
 
 from repro.analysis.figures import render_bars, render_grouped_bars
 

@@ -1,14 +1,8 @@
 """Analysis layer: metric definitions and table rendering."""
 
-import pytest
 
-from repro.analysis.metrics import (
-    classify_imbalance,
-    imbalance_percent,
-    interconnect_percent,
-)
-from repro.analysis.tables import format_factor, format_percent, format_table
-from repro.sim.results import EpochRecord, RunResult
+from repro.analysis.metrics import classify_imbalance
+from repro.analysis.tables import format_percent, format_table
 
 
 class TestClassification:
@@ -28,26 +22,11 @@ class TestClassification:
         assert classify_imbalance(2.53) == "high"
 
 
-class TestMetricAccessors:
-    def test_percent_views(self):
-        result = RunResult(
-            app="x", environment="linux", policy="ft",
-            completion_seconds=1.0, epochs=1,
-            records=[EpochRecord(0, 1.0, imbalance=1.35, max_link_rho=0.09,
-                                 local_fraction=0.5)],
-        )
-        assert imbalance_percent(result) == pytest.approx(135.0)
-        assert interconnect_percent(result) == pytest.approx(9.0)
-
-
 class TestFormatting:
     def test_format_percent(self):
         assert format_percent(0.253) == "25%"
         assert format_percent(0.253, signed=True) == "+25%"
         assert format_percent(-0.1, signed=True) == "-10%"
-
-    def test_format_factor(self):
-        assert format_factor(2.345) == "x2.35"
 
     def test_table_alignment(self):
         text = format_table(

@@ -41,7 +41,7 @@ def migration_decisions(
         total = sample.total
         if total == 0:
             continue
-        dominant = sample.dominant_node
+        dominant = int(np.argmax(sample.node_accesses))
         if sample.node_accesses[dominant] < single_node_share * total:
             continue
         current = placement(sample.page)

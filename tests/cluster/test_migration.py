@@ -119,7 +119,7 @@ class TestReHoming:
             nodes = domain.p2m.nodes_of(segment.keys[idx])
             assert (nodes >= 0).all()
             for i, node in zip(idx.tolist(), nodes.tolist()):
-                assert segment.placement.node_of(i) == node
+                assert segment.placement.nodes[i] == node
 
     def test_context_bound_to_destination_host(self):
         cluster = build_cluster()

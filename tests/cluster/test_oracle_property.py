@@ -31,7 +31,7 @@ class SnapshottingEnvironment(XenEnvironment):
     def complete_migration(self, run, dest_host, domain):
         source = run.context.domain
         self.oracle_valid = source.p2m.valid_gpfns()
-        self.oracle_image = source.image_snapshot()
+        self.oracle_image = source.read_stamps(source.gpfn_range())
         super().complete_migration(run, dest_host, domain)
 
 
@@ -68,7 +68,7 @@ def _migrate(seed, **knobs):
 def test_destination_matches_stop_and_copy_oracle(seed, knobs):
     env, migration = _migrate(seed, **knobs)
     dest = migration.dest_domain
-    dest_image = dest.image_snapshot()
+    dest_image = dest.read_stamps(dest.gpfn_range())
     oracle_valid = env.oracle_valid
     oracle_image = env.oracle_image
 
@@ -92,7 +92,7 @@ def test_dirty_pages_carry_final_writes(seed):
     )
     assert migration.stats.dirty_faults > 0
     dest = migration.dest_domain
-    dest_image = dest.image_snapshot()
+    dest_image = dest.read_stamps(dest.gpfn_range())
     # Stamps are unique and increasing; the highest stamp issued must be
     # present on the destination (its page was dirty at cutover).
     issued = migration._next_stamp - 1

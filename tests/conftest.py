@@ -4,10 +4,48 @@ import dataclasses
 
 import pytest
 
-from repro.config import SimConfig
-from repro.hardware.presets import amd48, small_machine
+from repro.config import DEFAULT_CONFIG, SimConfig
+from repro.hardware.latency import LatencyModel
+from repro.hardware.machine import Machine
+from repro.hardware.presets import (
+    CONTROLLER_GIB_S,
+    INTER_SOCKET_GIB_S,
+    NODE_MEMORY_GIB,
+    amd48,
+    amd48_caches,
+)
+from repro.hardware.topology import Link, NumaTopology
 from repro.hypervisor.xen import Hypervisor, XEN, XEN_PLUS
 from repro.lint import sanitizer as p2m_sanitizer
+
+
+def small_machine(
+    num_nodes: int = 2,
+    cpus_per_node: int = 2,
+    frames_per_node: int = 1024,
+    config: SimConfig = DEFAULT_CONFIG,
+) -> Machine:
+    """A tiny fully-connected machine for unit tests."""
+    links = [
+        Link(a, b, INTER_SOCKET_GIB_S)
+        for a in range(num_nodes)
+        for b in range(a + 1, num_nodes)
+    ]
+    topo = NumaTopology(
+        num_nodes=num_nodes,
+        cpus_per_node=cpus_per_node,
+        links=links,
+        memory_controller_gib_s=CONTROLLER_GIB_S,
+        node_memory_gib=NODE_MEMORY_GIB,
+        pci_nodes=(0,),
+    )
+    return Machine(
+        topology=topo,
+        caches=amd48_caches(),
+        latency=LatencyModel(),
+        frames_per_node=frames_per_node,
+        config=config,
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -20,7 +58,7 @@ def _sanitize_p2m():
     """
     p2m_sanitizer.enable()
     yield
-    p2m_sanitizer.disable()
+    p2m_sanitizer.enable(False)
 
 
 @pytest.fixture

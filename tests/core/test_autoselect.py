@@ -1,12 +1,10 @@
 """Automatic policy selection (section 7 extension)."""
 
-import pytest
 
 from repro.core.autoselect import (
     DEFAULT_CANDIDATES,
     CounterHeuristicSelector,
     ProbingSelector,
-    SelectionReport,
     make_xen_probe,
 )
 from repro.core.policies.base import PolicyName, PolicySpec

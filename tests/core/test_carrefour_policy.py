@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.carrefour.engine import CarrefourConfig
-from repro.core.policies.base import EpochObservation, PolicyName
+from repro.core.policies.base import EpochObservation
 from repro.hardware.counters import HotPageSample
 from repro.hypervisor.hypercalls import Hypercall
 from repro.hypervisor.xen import Hypervisor
@@ -95,7 +95,7 @@ class TestCarrefourPolicy:
         mfn = domain.p2m.invalidate(4)
         hv.allocator.free_page(mfn)
         policy.on_epoch(domain, observation(hv.machine, domain, [4], 2))
-        assert not domain.p2m.is_valid(4)
+        assert domain.p2m.mfn_if_valid(4) == -1
 
     def test_migration_cost_proportional_to_pages(self, setup):
         hv, domain = setup

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.interface import ExternalInterface, InternalInterface
-from repro.errors import P2MError
-from repro.hardware.presets import small_machine
 from repro.hypervisor.allocator import XenHeapAllocator
 from repro.hypervisor.domain import Domain
 from repro.hypervisor.hypercalls import Hypercall, HypercallTable
+
+from tests.conftest import small_machine
 
 
 @pytest.fixture
@@ -22,33 +22,34 @@ def setup():
     return machine, internal, domain
 
 
+def map_page(internal, domain, gpfn, node):
+    """Back ``gpfn`` with a fresh frame on ``node``; returns the mfn."""
+    mfn = internal.allocator.alloc_page_on(node)
+    domain.p2m.set_entry(gpfn, mfn)
+    return mfn
+
+
 class TestMapPage:
     def test_map_on_chosen_node(self, setup):
         machine, internal, domain = setup
-        mfn = internal.map_page(domain, 3, node=2)
+        mfn = map_page(internal, domain, 3, node=2)
         assert machine.node_of_frame(mfn) == 2
         assert domain.p2m.translate(3) == mfn
         assert internal.nodes_of_gpfns(domain, [3]).tolist() == [2]
-
-    def test_double_map_rejected(self, setup):
-        machine, internal, domain = setup
-        internal.map_page(domain, 3, node=2)
-        with pytest.raises(P2MError, match="migrate instead"):
-            internal.map_page(domain, 3, node=1)
 
 
 class TestInvalidate:
     def test_invalidate_frees_frame(self, setup):
         machine, internal, domain = setup
         before = machine.memory.free_frames_on(2)
-        internal.map_page(domain, 3, node=2)
+        map_page(internal, domain, 3, node=2)
         assert internal.invalidate_page(domain, 3)
         assert machine.memory.free_frames_on(2) == before
         assert internal.nodes_of_gpfns(domain, [3]).tolist() == [-1]
 
     def test_invalidate_twice_is_false(self, setup):
         machine, internal, domain = setup
-        internal.map_page(domain, 3, node=2)
+        map_page(internal, domain, 3, node=2)
         internal.invalidate_page(domain, 3)
         assert not internal.invalidate_page(domain, 3)
 
@@ -60,7 +61,7 @@ class TestInvalidate:
 class TestMigratePage:
     def test_migrate_moves_and_frees_old(self, setup):
         machine, internal, domain = setup
-        internal.map_page(domain, 3, node=0)
+        map_page(internal, domain, 3, node=0)
         free2 = machine.memory.free_frames_on(2)
         free0 = machine.memory.free_frames_on(0)
         assert internal.migrate_page(domain, 3, dst_node=2)
@@ -70,13 +71,13 @@ class TestMigratePage:
 
     def test_migrate_restores_writability(self, setup):
         machine, internal, domain = setup
-        internal.map_page(domain, 3, node=0)
+        map_page(internal, domain, 3, node=0)
         internal.migrate_page(domain, 3, dst_node=2)
         assert domain.p2m.lookup(3).writable
 
     def test_migrate_same_node_is_noop(self, setup):
         machine, internal, domain = setup
-        internal.map_page(domain, 3, node=0)
+        map_page(internal, domain, 3, node=0)
         assert not internal.migrate_page(domain, 3, dst_node=0)
 
     def test_migrate_invalid_entry_is_noop(self, setup):
@@ -85,7 +86,7 @@ class TestMigratePage:
 
     def test_migrate_to_full_node_fails_gracefully(self, setup):
         machine, internal, domain = setup
-        internal.map_page(domain, 3, node=0)
+        map_page(internal, domain, 3, node=0)
         while machine.memory.alloc_frames(2, 1) is not None:
             pass
         assert not internal.migrate_page(domain, 3, dst_node=2)
@@ -93,7 +94,7 @@ class TestMigratePage:
 
     def test_migration_log_and_cost(self, setup):
         machine, internal, domain = setup
-        internal.map_page(domain, 3, node=0)
+        map_page(internal, domain, 3, node=0)
         internal.migrate_page(domain, 3, dst_node=2)
         assert len(internal.migration_log) == 1
         record = internal.migration_log[0]

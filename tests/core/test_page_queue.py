@@ -36,11 +36,11 @@ class TestPartitioning:
 
     def test_partitions_fill_independently(self):
         queue, flushes = make_queue(batch=2, partitions=4)
-        queue.record_release(0)
-        queue.record_release(1)
-        queue.record_release(2)
+        queue.record(PageOp.RELEASE, 0)
+        queue.record(PageOp.RELEASE, 1)
+        queue.record(PageOp.RELEASE, 2)
         assert not flushes
-        queue.record_release(4)  # second event in partition 0
+        queue.record(PageOp.RELEASE, 4)  # second event in partition 0
         assert len(flushes) == 1
         assert [e.gpfn for e in flushes[0]] == [0, 4]
 
@@ -49,23 +49,23 @@ class TestFlushing:
     def test_flush_at_batch_size(self):
         queue, flushes = make_queue(batch=3, partitions=1)
         for g in range(3):
-            queue.record_alloc(g)
+            queue.record(PageOp.ALLOC, g)
         assert len(flushes) == 1
         assert queue.pending() == 0
 
     def test_flush_all(self):
         queue, flushes = make_queue(batch=100, partitions=4)
         for g in range(10):
-            queue.record_release(g)
+            queue.record(PageOp.RELEASE, g)
         queue.flush_all()
         assert queue.pending() == 0
         assert sum(len(b) for b in flushes) == 10
 
     def test_order_preserved_within_partition(self):
         queue, flushes = make_queue(batch=3, partitions=1)
-        queue.record_alloc(5)
-        queue.record_release(5)
-        queue.record_alloc(9)
+        queue.record(PageOp.ALLOC, 5)
+        queue.record(PageOp.RELEASE, 5)
+        queue.record(PageOp.ALLOC, 9)
         events = flushes[0]
         assert [(e.op, e.gpfn) for e in events] == [
             (PageOp.ALLOC, 5),
@@ -75,13 +75,12 @@ class TestFlushing:
 
     def test_stats(self):
         queue, _ = make_queue(batch=2, partitions=1)
-        queue.record_alloc(0)
-        queue.record_alloc(1)
+        queue.record(PageOp.ALLOC, 0)
+        queue.record(PageOp.ALLOC, 1)
         stats = queue.stats
         assert stats.events == 2
         assert stats.flushes == 1
         assert stats.flushed_events == 2
-        assert stats.events_per_flush == 2
         assert stats.flush_hold_seconds == pytest.approx(2e-7)
         assert stats.lock_acquisitions == 2
 

@@ -14,9 +14,10 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.errors import PolicyError
-from repro.hardware.presets import small_machine
 from repro.hypervisor.allocator import XenHeapAllocator
 from repro.hypervisor.domain import Domain
+
+from tests.conftest import small_machine
 
 
 @pytest.fixture
@@ -131,7 +132,7 @@ class TestFirstTouch:
         events = [PageEvent(PageOp.RELEASE, 3), PageEvent(PageOp.RELEASE, 4)]
         inv, skip = policy.on_page_events(domain, events)
         assert (inv, skip) == (2, 0)
-        assert not domain.p2m.is_valid(3)
+        assert domain.p2m.mfn_if_valid(3) == -1
         assert policy.pages_invalidated == 2
 
     def test_page_events_skip_reallocated(self, setup):
@@ -141,7 +142,7 @@ class TestFirstTouch:
         events = [PageEvent(PageOp.RELEASE, 3), PageEvent(PageOp.ALLOC, 3)]
         inv, skip = policy.on_page_events(domain, events)
         assert (inv, skip) == (0, 1)
-        assert domain.p2m.is_valid(3)
+        assert domain.p2m.mfn_if_valid(3) != -1
         assert policy.reallocations_skipped == 1
 
 

@@ -110,7 +110,7 @@ class TestHypercalls:
             [PageEvent(PageOp.RELEASE, 5)],
         )
         assert (inv, skip) == (1, 0)
-        assert not d.p2m.is_valid(5)
+        assert d.p2m.mfn_if_valid(5) == -1
 
     def test_carrefour_control_requires_dom0(self, hv):
         d = domU(hv)

@@ -9,10 +9,10 @@ from repro.experiments import (
     fig2,
     fig5,
     fig6,
-    fig7,
     fig10,
     io_micro,
     registry,
+    report,
     table1,
     table2,
     table3,
@@ -26,9 +26,9 @@ SUBSET = ["swaptions", "bodytrack", "ep.D"]
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    common.clear_cache()
+    common.default_runner().store.clear()
     yield
-    common.clear_cache()
+    common.default_runner().store.clear()
 
 
 class TestMicrobenchExperiments:
@@ -135,3 +135,20 @@ class TestCli:
     def test_cli_runs_subset(self, capsys):
         assert main(["run", "table3"]) == 0
         assert "Table 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2)])
+    def test_report_options_exit_before_building(
+        self, argv, code, tmp_path, monkeypatch, capsys
+    ):
+        """``report --help`` once built the whole report and wrote it to a
+        file named ``--help``; options now exit before any work."""
+
+        def build_report():
+            raise AssertionError("the report must not be built")
+
+        monkeypatch.setattr(report, "build_report", build_report)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", *argv])
+        assert exit_info.value.code == code
+        assert list(tmp_path.iterdir()) == []

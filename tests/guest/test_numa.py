@@ -7,7 +7,7 @@ from repro.carrefour.heuristics import Action, PageDecision
 from repro.errors import PolicyError
 from repro.guest.numa import LinuxNumaMode
 from repro.guest.process import Thread
-from repro.hardware.presets import small_machine
+from tests.conftest import small_machine
 
 
 @pytest.fixture

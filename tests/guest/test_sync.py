@@ -37,10 +37,5 @@ class TestMcs:
         assert mcs == model.mcs_spin_overhead
         assert mcs < blocking
 
-    def test_mcs_zeroes_context_switches(self, model):
-        """Section 5.3.2: zero intentional context switches after MCS."""
-        assert model.effective_ctx_rate(30_000.0, mcs_locks=True) == 0.0
-        assert model.effective_ctx_rate(30_000.0, mcs_locks=False) == 30_000.0
-
     def test_mcs_not_free(self, model):
         assert model.overhead_fraction(30_000.0, "native", mcs_locks=True) > 0

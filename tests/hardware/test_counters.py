@@ -1,9 +1,9 @@
-"""Performance counters, derived metrics and IBS-style sampling."""
+"""Performance counters and derived metrics."""
 
 import numpy as np
 import pytest
 
-from repro.hardware.counters import HotPageSample, PerfCounters, sample_hot_pages
+from repro.hardware.counters import PerfCounters
 
 
 @pytest.fixture
@@ -44,14 +44,6 @@ class TestMetrics:
     def test_empty_imbalance_zero(self, counters):
         assert counters.imbalance() == 0.0
 
-    def test_local_fraction(self, counters):
-        counters.record(0, 0, 75)
-        counters.record(0, 1, 25)
-        assert counters.local_access_fraction() == pytest.approx(0.75)
-
-    def test_local_fraction_empty_is_one(self, counters):
-        assert counters.local_access_fraction() == 1.0
-
     def test_node_access_counts_are_column_sums(self, counters):
         counters.record(0, 2, 5)
         counters.record(1, 2, 7)
@@ -80,63 +72,6 @@ class TestClaim:
         counters.claim("carrefour")
         counters.release("someone-else")
         assert counters.owner == "carrefour"
-
-
-class TestSampling:
-    def _profiles(self, n=10, total=1000):
-        return [
-            HotPageSample(page=i, domain_id=1, node_accesses=(total, 0, 0, 0))
-            for i in range(n)
-        ]
-
-    def test_full_rate_keeps_everything(self):
-        rng = np.random.default_rng(0)
-        out = sample_hot_pages(self._profiles(), 1.0, rng)
-        assert len(out) == 10
-        assert all(s.total == 1000 for s in out)
-
-    def test_thinning_reduces_counts(self):
-        rng = np.random.default_rng(0)
-        out = sample_hot_pages(self._profiles(total=10000), 0.01, rng)
-        assert all(0 < s.total < 10000 for s in out)
-
-    def test_cold_pages_disappear(self):
-        rng = np.random.default_rng(0)
-        profiles = [
-            HotPageSample(page=0, domain_id=1, node_accesses=(1, 0, 0, 0))
-            for _ in range(50)
-        ]
-        out = sample_hot_pages(profiles, 0.01, rng)
-        assert len(out) < 50
-
-    def test_sorted_hottest_first(self):
-        rng = np.random.default_rng(0)
-        profiles = [
-            HotPageSample(page=i, domain_id=1, node_accesses=(100 * (i + 1), 0, 0, 0))
-            for i in range(5)
-        ]
-        out = sample_hot_pages(profiles, 1.0, rng)
-        totals = [s.total for s in out]
-        assert totals == sorted(totals, reverse=True)
-
-    def test_max_samples_cap(self):
-        rng = np.random.default_rng(0)
-        out = sample_hot_pages(self._profiles(n=20), 1.0, rng, max_samples=5)
-        assert len(out) == 5
-
-    def test_bad_rate_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_hot_pages([], 0.0, rng)
-        with pytest.raises(ValueError):
-            sample_hot_pages([], 1.5, rng)
-
-
-class TestHotPageSample:
-    def test_dominant_node(self):
-        sample = HotPageSample(page=1, domain_id=0, node_accesses=(5, 80, 15, 0))
-        assert sample.dominant_node == 1
-        assert sample.total == 100
 
 
 class TestSnapshotAliasing:

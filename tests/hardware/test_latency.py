@@ -67,9 +67,6 @@ class TestCongestionSemantics:
 
 
 class TestConversions:
-    def test_cycles_seconds_roundtrip(self, model):
-        assert model.seconds_to_cycles(model.cycles_to_seconds(2200.0)) == pytest.approx(2200.0)
-
     def test_cycle_time_at_2_2ghz(self, model):
         assert model.cycles_to_seconds(2.2e9) == pytest.approx(1.0)
 

@@ -99,7 +99,6 @@ class TestStats:
     def test_stats_track_usage(self, memory):
         memory.alloc_frames(0, 32)
         stats = memory.stats(0)
-        assert stats.used_frames == 32
         assert stats.free_frames == 96
         assert stats.total_frames == 128
 

@@ -13,13 +13,14 @@ guest loses the right to touch them); deflating asks pages back. The
 integration test shows exactly the mismatch the paper describes — a
 ballooned page cannot be handed to a new process without first deflating
 through the hypervisor, while the page-event queue keeps the page usable
-the whole time.
+the whole time. No run path balloons, so the driver lives beside its
+test rather than in ``src/``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from dataclasses import dataclass
+from typing import List, Set
 
 from repro.errors import HypercallError
 from repro.hypervisor.allocator import XenHeapAllocator
@@ -54,10 +55,6 @@ class BalloonDriver:
     def ballooned_pages(self) -> int:
         """Pages currently surrendered to the hypervisor."""
         return len(self._ballooned)
-
-    def is_ballooned(self, gpfn: int) -> bool:
-        """True when the guest may not use ``gpfn``."""
-        return gpfn in self._ballooned
 
     # ------------------------------------------------------------------
 

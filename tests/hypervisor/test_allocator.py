@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.config import SimConfig
 from repro.errors import OutOfMemoryError
-from repro.hardware.presets import small_machine
 from repro.hypervisor.allocator import XenHeapAllocator, choose_home_nodes
 from repro.hypervisor.domain import Domain
+
+from tests.conftest import small_machine
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ class TestRound1G:
         # Fragment node 0: allocate every other 2-frame run.
         holes = []
         for _ in range(2048):
-            keep = machine.memory.alloc_frames(0, 2)
+            machine.memory.alloc_frames(0, 2)
             holes.append(machine.memory.alloc_frames(0, 2))
         for mfn in holes:
             machine.memory.free_frames(mfn, 2)

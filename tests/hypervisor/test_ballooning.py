@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.core.interface import ExternalInterface, InternalInterface
-from repro.core.page_queue import PageOp
+from repro.core.interface import ExternalInterface
 from repro.core.policies.base import PolicyName
 from repro.errors import HypercallError
 from repro.guest.page_alloc import GuestPageAllocator
 from repro.guest.pv_patch import PvNumaPatch
-from repro.hypervisor.ballooning import BalloonDriver
-from repro.hypervisor.xen import Hypervisor
+from tests.hypervisor.ballooning import BalloonDriver
 
 
 @pytest.fixture
@@ -33,7 +31,7 @@ class TestBalloonMechanics:
         assert free_after == free_before + 3
         assert balloon.ballooned_pages == 3
         for gpfn in (1, 2, 3):
-            assert not domain.p2m.is_valid(gpfn)
+            assert domain.p2m.mfn_if_valid(gpfn) == -1
 
     def test_double_inflate_idempotent(self, setup):
         hv, domain, balloon = setup
@@ -45,7 +43,7 @@ class TestBalloonMechanics:
         balloon.inflate([1, 2])
         assert balloon.deflate([1, 2]) == 2
         assert balloon.ballooned_pages == 0
-        assert domain.p2m.is_valid(1)
+        assert domain.p2m.mfn_if_valid(1) != -1
 
     def test_deflate_unknown_pages_ignored(self, setup):
         hv, domain, balloon = setup
@@ -69,17 +67,17 @@ class TestThePapersArgument:
         hv, domain, balloon = setup
         guest_alloc = GuestPageAllocator(first_gpfn=0, num_pages=64)
         external = ExternalInterface(hv.hypercalls, domain.domain_id)
-        patch = PvNumaPatch(guest_alloc, external, batch_size=1)
+        PvNumaPatch(guest_alloc, external, batch_size=1)  # hooks guest_alloc
         hv.set_policy(domain, PolicyName.FIRST_TOUCH)
         gpfn = guest_alloc.alloc()
         guest_alloc.free(gpfn)          # reported + invalidated (batch=1)
-        assert not domain.p2m.is_valid(gpfn)
+        assert domain.p2m.mfn_if_valid(gpfn) == -1
         # The guest can reallocate right away — no hypervisor round trip.
         again = guest_alloc.alloc()
         assert again == gpfn
         # And the next access faults the page back in on the right node.
         mfn = hv.guest_access(domain, 1, gpfn)
-        assert domain.p2m.is_valid(gpfn)
+        assert domain.p2m.mfn_if_valid(gpfn) == mfn != -1
 
     def test_deflate_needed_before_reuse(self, setup):
         hv, domain, balloon = setup

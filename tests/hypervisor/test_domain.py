@@ -31,12 +31,6 @@ class TestDomain:
         assert [v.vcpu_id for v in d.vcpus] == [0, 1, 2, 3]
         assert all(v.domain_id == 1 for v in d.vcpus)
 
-    def test_pin_vcpu(self):
-        d = Domain(1, "d", num_vcpus=2, memory_pages=10, home_nodes=(0,))
-        d.pin_vcpu(1, 7)
-        assert d.vcpus[1].pinned_pcpu == 7
-        assert d.vcpus[0].pinned_pcpu is None
-
     def test_gpfn_range(self):
         d = Domain(1, "d", num_vcpus=1, memory_pages=5, home_nodes=(0,))
         assert list(d.gpfn_range()) == [0, 1, 2, 3, 4]

@@ -5,10 +5,11 @@ import pytest
 from repro.core.policies.first_touch import FirstTouchPolicy
 from repro.core.interface import InternalInterface
 from repro.errors import P2MError
-from repro.hardware.presets import small_machine
 from repro.hypervisor.allocator import XenHeapAllocator
 from repro.hypervisor.domain import Domain
 from repro.hypervisor.faults import FaultHandler
+
+from tests.conftest import small_machine
 
 
 @pytest.fixture

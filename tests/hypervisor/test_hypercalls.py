@@ -39,11 +39,6 @@ class TestDispatch:
         assert count == 2
         assert seconds == pytest.approx(2 * table.costs.base_seconds)
 
-    def test_reset_stats(self, table):
-        table.dispatch(Hypercall.EMPTY, 1, 0)
-        table.reset_stats()
-        assert table.stats[Hypercall.EMPTY] == (0, 0.0)
-
 
 class TestFailureAccounting:
     def test_raising_handler_still_charged_base_cost(self, table):
@@ -99,7 +94,3 @@ class TestCostModel:
         table.dispatch(Hypercall.NUMA_PAGE_EVENTS, 1, 0, list(range(64)))
         _, seconds = table.stats[Hypercall.NUMA_PAGE_EVENTS]
         assert seconds == pytest.approx(table.costs.flush_cost(64))
-
-    def test_cost_of_call_predicts_dispatch(self, table):
-        predicted = table.cost_of_call(Hypercall.NUMA_PAGE_EVENTS, [1, 2, 3])
-        assert predicted == pytest.approx(table.costs.flush_cost(3))

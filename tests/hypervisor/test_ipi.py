@@ -27,12 +27,6 @@ class TestTotals:
 
 
 class TestRepartition:
-    @pytest.mark.parametrize("mode", ["native", "guest"])
-    def test_shares_sum_to_one(self, model, mode):
-        shares = model.repartition(mode)
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert all(0 < s < 1 for s in shares.values())
-
     def test_guest_has_exit_entry_steps(self, model):
         names = {c.name for c in model.components("guest")}
         assert "sender_vmexit" in names

@@ -36,7 +36,7 @@ class TestPinning:
         scheduler.pin(d.vcpus[0], 0)
         scheduler.pin(d.vcpus[0], 1)
         assert scheduler.pcpu_of(d.vcpus[0]) == 1
-        assert scheduler.runqueue(0) == ()
+        assert scheduler.occupied_pcpus() == (1,)
 
     def test_pin_domain_1to1(self, scheduler):
         d = domain(1, 4)
@@ -67,7 +67,6 @@ class TestSharing:
         scheduler.pin_domain(d2, [0, 1])
         for v in d1.vcpus + d2.vcpus:
             assert scheduler.cpu_share(v) == 0.5
-        assert scheduler.max_sharers() == 2
 
     def test_remove_domain_restores_share(self, scheduler):
         d1, d2 = domain(1, 1), domain(2, 1)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.policies.base import PolicyName, PolicySpec
+from repro.core.policies.base import PolicyName
 from repro.errors import PolicyError
-from repro.hypervisor.xen import Hypervisor, XEN, XEN_PLUS
 
 
 class TestDom0:
@@ -32,7 +31,7 @@ class TestDomainLifecycle:
         assert d.home_nodes == (2, 3)
         machine = hypervisor.machine
         nodes = {
-            machine.node_of_frame(e.mfn) for _, e in d.p2m.valid_entries()
+            machine.node_of_frame(d.p2m.translate(g)) for g in d.p2m.valid_gpfns().tolist()
         }
         assert nodes <= {2, 3}
 

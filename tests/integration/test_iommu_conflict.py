@@ -10,16 +10,16 @@ This is why the evaluation disables passthrough whenever first-touch runs.
 
 import pytest
 
-from repro.config import SimConfig
 from repro.core.interface import ExternalInterface
 from repro.core.policies.base import PolicyName
 from repro.guest.page_alloc import GuestPageAllocator
 from repro.guest.pv_patch import PvNumaPatch
-from repro.hardware.presets import small_machine
 from repro.hypervisor.xen import Hypervisor, XEN_PLUS
 from repro.vio.dma import DmaEngine
 from repro.vio.drivers import PassthroughDriver
 from repro.vio.disk import DiskModel
+
+from tests.conftest import small_machine
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ hypervisor*, a vCPU can migrate freely and the dynamic policy chases its
 pages. These tests exercise that exact scenario end to end.
 """
 
-import pytest
 
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.sim.engine import run_world
@@ -20,6 +19,16 @@ def build_world(policy, app_name="cg.C", baseline=6.0):
     app = fast_app(get_app(app_name), baseline_seconds=baseline)
     env = XenEnvironment()
     return env.setup([VmSpec(app=app, policy=policy)])
+
+
+def guest_mappings(run):
+    """Every guest-virtual page of the run and the guest frame it maps."""
+    aspace = run.context.aspace
+    return {
+        vpfn: aspace.translate(vpfn)
+        for segment in run.segments
+        for vpfn in segment.keys.tolist()
+    }
 
 
 def swap_nodes_0_and_7(world):
@@ -48,10 +57,10 @@ class TestMigrateVcpu:
         world = build_world(PolicySpec(PolicyName.FIRST_TOUCH))
         run = world.runs[0]
         run.initialize()
-        resident_before = run.context.aspace.resident_pages
+        mappings_before = guest_mappings(run)
         migrate_vcpu(run, 0, 47)
         # No guest-visible state changed: same address space, same pages.
-        assert run.context.aspace.resident_pages == resident_before
+        assert guest_mappings(run) == mappings_before
         world.teardown()
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.hypervisor.xen import XEN, XEN_PLUS
-from repro.sim.engine import run_app, run_apps
+from repro.sim.engine import run_app
 from repro.sim.environment import VmSpec, XenEnvironment
 from repro.workloads.suite import get_app
 
@@ -62,12 +62,12 @@ class TestSingleVm:
         for segment in run.segments[:5]:
             for idx in range(segment.num_pages):
                 gpfn = int(segment.keys[idx])
-                expected = None
+                expected = -1
                 if gpfn >= 0:
                     entry = context.domain.p2m.lookup(gpfn)
                     if entry is not None and entry.valid:
                         expected = machine.node_of_frame(entry.mfn)
-                assert segment.placement.node_of(idx) == expected
+                assert segment.placement.nodes[idx] == expected
         world.teardown()
 
     def test_churn_exercises_queue_and_faults(self):

@@ -1,13 +1,15 @@
-"""The project-wide dataflow rules (RPR006-RPR010): each catches its
+"""The project-wide dataflow rules (RPR006-RPR011): each catches its
 seeded fixture violations and passes the clean twin."""
 
 import os
 
 from repro.lint.analyzer import Analyzer
 from repro.lint.project import ProjectContext, module_name_for
+from repro.lint.rules import reachability
 from repro.lint.visitor import FileContext
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "project")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
 def lint(relpaths, select):
@@ -159,6 +161,60 @@ class TestArrayAliasParam:
 
     def test_good_clean(self):
         assert lint("aliasing_param_good.py", select=["RPR010"]) == []
+
+
+class TestReachability:
+    #: The fixture's entry points: one live external root, one stale entry.
+    FIXTURE_ROOTS = {
+        "reachability.app.called_by_example": "examples/demo.py",
+        "reachability.app.renamed_long_ago": "examples/demo.py",
+    }
+
+    def fixture_findings(self, monkeypatch):
+        monkeypatch.setattr(reachability, "EXTERNAL_ROOTS", self.FIXTURE_ROOTS)
+        return lint("reachability/app.py", select=["RPR011"])
+
+    def test_dead_function_and_stale_root_flagged(self, monkeypatch):
+        findings = self.fixture_findings(monkeypatch)
+        messages = [f.message for f in findings]
+        assert len(findings) == 2
+        assert any(
+            "'reachability.app.renamed_long_ago' names no project function" in m
+            for m in messages
+        )
+        assert any("function dead_helper is unreachable" in m for m in messages)
+
+    def test_callback_dispatch_and_external_uses_kept(self, monkeypatch):
+        messages = " ".join(f.message for f in self.fixture_findings(monkeypatch))
+        for kept in ("on_done", "visit_Call", "describe_call", "called_by_example"):
+            assert kept not in messages
+
+    def test_foreign_tree_gets_no_findings(self):
+        # No EXTERNAL_ROOTS entry resolves in a tree that is not this
+        # package, so the rule has no entry points to measure against.
+        assert lint("shared_state_bad.py", select=["RPR011"]) == []
+        assert lint("reachability/app.py", select=["RPR011"]) == []
+
+    def test_shipped_tree_is_checked(self, tmp_path):
+        """On the whole shipped tree the rule runs: an unreferenced
+        function analyzed beside it is flagged, and nothing else is."""
+        orphan = tmp_path / "orphan.py"
+        orphan.write_text("def orphan():\n    return 1\n")
+        report = Analyzer(select=["RPR011"]).run(
+            [os.path.join(REPO_ROOT, "src", "repro"), str(orphan)]
+        )
+        assert [f.path for f in report.findings] == [str(orphan)]
+
+    def test_external_roots_cite_their_callers(self):
+        """Every EXTERNAL_ROOTS entry names a file that exists and
+        mentions the function, so the table cannot drift from the code
+        outside src/ that it stands for."""
+        for qname, cited in sorted(reachability.EXTERNAL_ROOTS.items()):
+            path = os.path.join(REPO_ROOT, cited)
+            assert os.path.isfile(path), (qname, cited)
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+            assert qname.rsplit(".", 1)[-1] in text, (qname, cited)
 
 
 class TestDefaultModeGating:

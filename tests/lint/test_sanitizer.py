@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import SanitizerError
 from repro.hardware.memory import MachineMemory
-from repro.hardware.presets import small_machine
 from repro.hypervisor.p2m import P2MTable
 from repro.hypervisor.xen import Hypervisor
 from repro.lint import sanitizer as p2m_sanitizer
 from repro.lint.sanitizer import P2MSanitizer
+
+from tests.conftest import small_machine
 
 
 @pytest.fixture
@@ -148,9 +149,9 @@ class TestHypervisorIntegration:
         assert hypervisor.dom0.p2m.sanitizer is hypervisor.sanitizer
 
     def test_switch_arms_hypervisors_created_after_it(self):
-        """``enable()``/``disable()`` is the one switch: it decides
-        whether each hypervisor booted afterwards gets a sanitizer."""
-        p2m_sanitizer.disable()
+        """``enable()`` is the one switch, both ways: it decides whether
+        each hypervisor booted afterwards gets a sanitizer."""
+        p2m_sanitizer.enable(False)
         try:
             hyp_off = Hypervisor(small_machine())
         finally:

@@ -28,10 +28,12 @@ from repro.core.multirun import run_worlds
 from repro.hardware.presets import amd48
 from repro.hypervisor.domain import Domain
 from repro.runner import build_world
+from repro.sim import engine
 from repro.sim.engine import CongestionSolver
 from repro.sim.runspec import RunRequest, VmRequest
 
 from tests.properties.engine_oracle import (
+    ReferenceStepper,
     loop_congestion,
     loop_latency_matrix,
     reference_run_world,
@@ -248,7 +250,8 @@ def bench_migration(
         "speedup": speedup,
         "results_match": float(
             np.array_equal(
-                dest_batched.image_snapshot(), dest_scalar.image_snapshot()
+                dest_batched.read_stamps(dest_batched.gpfn_range()),
+                dest_scalar.read_stamps(dest_scalar.gpfn_range()),
             )
         ),
     }
@@ -289,6 +292,46 @@ class TestMultiRunBench:
         assert stats["num_worlds"] == 16.0
         assert stats["results_match"] == 1.0
         assert stats["speedup"] >= 3.0
+
+    def test_batched_sweep_steps_every_world_epoch_once(self, monkeypatch):
+        """The structure behind the bar, exact where wall time is noisy:
+        the batched leg makes one ``_step_lanes`` call per epoch of the
+        longest world, with one lane per world still running; the
+        per-run leg steps each world alone, one epoch per step; both
+        legs step the same world-epochs."""
+        requests = _multi_run_requests(SimConfig(), MULTI_RUN_WORLDS)
+        lanes_per_call: List[int] = []
+        step_lanes = engine._step_lanes
+
+        def counting_step_lanes(lanes, *args):
+            lanes_per_call.append(len(lanes))
+            return step_lanes(lanes, *args)
+
+        reference_steps: List[int] = []
+        reference_step = ReferenceStepper.step
+
+        def counting_step(stepper, now):
+            stepped = reference_step(stepper, now)
+            reference_steps.append(int(stepped))
+            return stepped
+
+        monkeypatch.setattr(engine, "_step_lanes", counting_step_lanes)
+        monkeypatch.setattr(ReferenceStepper, "step", counting_step)
+        run_worlds([build_world(r) for r in requests])
+        batched_calls = len(lanes_per_call)
+        world_epochs = []
+        for request in requests:
+            reference_steps.clear()
+            reference_run_world(build_world(request))
+            world_epochs.append(sum(reference_steps))
+        assert len(lanes_per_call) == batched_calls  # the per-run leg never batches
+        world_epochs.sort(reverse=True)
+        assert batched_calls == world_epochs[0]
+        assert lanes_per_call == [
+            sum(1 for epochs in world_epochs if epochs > epoch)
+            for epoch in range(batched_calls)
+        ]
+        assert sum(lanes_per_call) == sum(world_epochs)
 
 
 class TestSolverMicrobench:

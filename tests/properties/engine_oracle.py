@@ -10,7 +10,12 @@ Three generations of fast path are anchored here:
   structure-of-arrays stepper replaced — per run, per solver pass,
   with the same metric cells and trace events;
 * the per-host cluster loop (:func:`reference_simulate`) that stepped
-  each host alone before the hosts became lanes of one group.
+  each host alone before the hosts became lanes of one group;
+* per-machine traffic accounting (:func:`record_node_traffic`), which
+  :func:`repro.hardware.machine.record_node_traffic_many` replaced with
+  one route-incidence product for a whole stack of machines, and the
+  per-``(src, dst)`` route walk (:func:`record_access`) that
+  :func:`record_access_matrix` replaced before that.
 
 They serve two consumers: the equivalence tests
 (:mod:`tests.sim.test_engine_vectorized`,
@@ -29,6 +34,8 @@ import numpy as np
 
 from repro.cluster import Cluster
 from repro.hardware.counters import CACHE_LINE_BYTES
+from repro.hardware.interconnect import Interconnect
+from repro.hardware.machine import Machine
 from repro.hardware.topology import NumaTopology
 from repro.sim.engine import (
     DEFAULT_MAX_EPOCHS,
@@ -41,6 +48,48 @@ from repro.sim.engine import (
 from repro.sim.environment import World
 from repro.sim.instance import AppRun
 from repro.sim.results import EpochRecord, RunResult
+
+
+def record_access(interconnect: Interconnect, src: int, dst: int, nbytes: int) -> None:
+    """Account ``nbytes`` on every link of the route ``src`` -> ``dst``.
+
+    Local accesses (src == dst) touch no link.
+    """
+    if src == dst or nbytes == 0:
+        return
+    for link in interconnect.topology.route(src, dst):
+        interconnect._bytes[link.key] += nbytes
+
+
+def record_access_matrix(interconnect: Interconnect, byte_matrix: np.ndarray) -> None:
+    """Account a whole ``(n, n)`` matrix of per-route byte counts.
+
+    State-identical to :func:`record_access` on every ``(src, dst)``
+    pair: per-link totals are integer sums of the same per-pair counts,
+    computed as one product against the 0/1 route-incidence matrix.
+    """
+    if not interconnect.topology.links:
+        return
+    link_bytes = byte_matrix.reshape(-1) @ interconnect.route_incidence()
+    interconnect.record_link_bytes(link_bytes.tolist())
+
+
+def record_node_traffic(machine: Machine, matrix: np.ndarray) -> None:
+    """Account one epoch's access matrix on one machine's components.
+
+    ``matrix[src, dst]`` accesses each move one cache line over the route
+    and through the destination controller.
+    """
+    if matrix.shape != (machine.num_nodes, machine.num_nodes):
+        raise ValueError("access matrix shape mismatch")
+    machine.counters.record_matrix(matrix)
+    col_bytes = matrix.sum(axis=0) * CACHE_LINE_BYTES
+    for node, nbytes in enumerate(col_bytes.tolist()):
+        if nbytes:
+            machine.memory.controllers[node].serve(int(nbytes))
+    byte_matrix = (matrix * CACHE_LINE_BYTES).astype(np.int64)
+    np.fill_diagonal(byte_matrix, 0)
+    record_access_matrix(machine.interconnect, byte_matrix)
 
 
 @lru_cache(maxsize=8)
@@ -280,7 +329,7 @@ class ReferenceStepper(EpochStepper):
                     migrations=migrations,
                 )
             run.churn_step()
-        machine.record_node_traffic(total)
+        record_node_traffic(machine, total)
         machine.end_epoch()
         self.epoch = epoch + 1
         return True

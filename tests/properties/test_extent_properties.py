@@ -1,6 +1,6 @@
 """Property-based tests of the machine frame extent allocator."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 

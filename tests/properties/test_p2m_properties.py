@@ -40,7 +40,7 @@ class P2MPlacementMachine(RuleBasedStateMachine):
         mfn=st.integers(min_value=0, max_value=1023),
     )
     def migrate(self, gpfn, mfn):
-        if self.p2m.is_valid(gpfn):
+        if self.p2m.mfn_if_valid(gpfn) != -1:
             self.p2m.write_protect(gpfn)
             self.p2m.remap(gpfn, mfn)
 
@@ -48,10 +48,10 @@ class P2MPlacementMachine(RuleBasedStateMachine):
     def view_matches_table(self):
         for gpfn in range(PAGES):
             entry = self.p2m.lookup(gpfn)
-            expected = None
+            expected = -1
             if entry is not None and entry.valid:
                 expected = entry.mfn % NODES
-            assert self.placement.node_of(gpfn) == expected
+            assert self.placement.nodes[gpfn] == expected
 
     @invariant()
     def counts_match_nodes(self):
@@ -59,8 +59,8 @@ class P2MPlacementMachine(RuleBasedStateMachine):
 
         recomputed = np.zeros(NODES, dtype=int)
         for gpfn in range(PAGES):
-            node = self.placement.node_of(gpfn)
-            if node is not None:
+            node = self.placement.nodes[gpfn]
+            if node >= 0:
                 recomputed[node] += 1
         assert recomputed.tolist() == self.placement.counts.tolist()
 

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.core.page_queue import (
+    OP_ALLOC,
+    OP_RELEASE,
     PageEvent,
     PageEventBatch,
     PageOp,
@@ -28,7 +30,6 @@ from repro.core.page_queue import (
 from repro.core.policies import FirstTouchPolicy
 from repro.errors import P2MError, SanitizerError
 from repro.hardware.memory import MachineMemory
-from repro.hardware.presets import small_machine
 from repro.hypervisor.p2m import P2MTable
 from repro.hypervisor.xen import XEN, Hypervisor
 from repro.lint import sanitizer as p2m_sanitizer
@@ -39,6 +40,7 @@ from repro.sim.environment import _XenContext
 from repro.sim.placement import PlacementTracker, SegmentPlacement
 from repro.sim.runspec import RunRequest, VmRequest
 
+from tests.conftest import small_machine
 from tests.properties.p2m_oracle import DictP2MTable
 
 PAGES = 24
@@ -57,7 +59,11 @@ def snapshot(table):
         "entries": entries,
         "num_entries": table.num_entries,
         "num_valid": table.num_valid,
-        "valid": sorted((g, e.mfn) for g, e in table.valid_entries()),
+        "valid": [
+            (g, table.mfn_if_valid(g))
+            for g in range(PAGES)
+            if table.mfn_if_valid(g) != -1
+        ],
         "invalidations": table.invalidations,
         "migrations": table.migrations,
     }
@@ -90,8 +96,6 @@ def apply_op(table, op):
             return (sel.tolist(), mfns.tolist()), None
         if kind == "remove_many":
             return table.remove_many(np.asarray(op[1])).tolist(), None
-        if kind == "translate_many":
-            return table.translate_many(np.asarray(op[1])).tolist(), None
         if kind == "mfns_if_valid":
             return table.mfns_if_valid(np.asarray(op[1])).tolist(), None
         if kind == "nodes_of":
@@ -127,7 +131,6 @@ op_st = st.one_of(
     set_many_st,
     st.tuples(st.just("invalidate_many"), gpfn_arrays),
     st.tuples(st.just("remove_many"), gpfn_arrays),
-    st.tuples(st.just("translate_many"), gpfn_arrays),
     st.tuples(st.just("mfns_if_valid"), gpfn_arrays),
     st.tuples(st.just("nodes_of"), gpfn_arrays),
 )
@@ -158,16 +161,7 @@ class TestP2MParity:
             # the observable contract is only that gpfn 0 is untouched
             # and the bad element is not applied.
             assert table.lookup(0).mfn == 5
-            assert not table.is_valid(2)
-
-    def test_translate_many_raises_like_scalar(self):
-        array, oracle = P2MTable(1), DictP2MTable(1)
-        for table in (array, oracle):
-            table.set_entry(0, 3)
-        got = apply_op(array, ("translate_many", [0, 1]))
-        want = apply_op(oracle, ("translate_many", [0, 1]))
-        assert got == want
-        assert got[1] is not None  # both raised
+            assert table.mfn_if_valid(2) == -1
 
 
 def armed(cls):
@@ -448,11 +442,11 @@ class TestPlacementParity:
         assert vectorized.counts.tolist() == scalar.counts.tolist()
         assert vectorized.version == scalar.version
         for idx in range(PAGES):
-            assert vectorized.node_of(idx) == scalar.node_of(idx)
+            assert vectorized.nodes[idx] == scalar.nodes[idx]
 
         scalar.release_many(idxs)
         for idx in range(PAGES):
-            assert scalar.node_of(idx) is None
+            assert scalar.nodes[idx] == -1
 
     def test_tracker_range_hooks_match_scalar_hooks(self):
         """Batch observer callbacks over a tracked range reproduce the
@@ -488,7 +482,7 @@ class TestPlacementParity:
         assert range_placement.counts.tolist() == scalar_placement.counts.tolist()
         assert range_placement.version == scalar_placement.version
         for idx in range(PAGES):
-            assert range_placement.node_of(idx) == scalar_placement.node_of(idx)
+            assert range_placement.nodes[idx] == scalar_placement.nodes[idx]
 
 
 def first_touch_domain():
@@ -521,7 +515,13 @@ class TestFirstTouchReplayParity:
             hypervisor, domain, policy = first_touch_domain()
             payload = [PageEvent(op, gpfn) for op, gpfn in events]
             if as_batch:
-                payload = PageEventBatch.from_events(payload)
+                payload = PageEventBatch(
+                    np.array(
+                        [OP_ALLOC if e.op is PageOp.ALLOC else OP_RELEASE for e in payload],
+                        dtype=np.uint8,
+                    ),
+                    np.array([e.gpfn for e in payload], dtype=np.int64),
+                )
             memory = hypervisor.machine.memory
             outcomes.append(
                 (
@@ -567,7 +567,7 @@ class TestSanitizedWorlds:
     def test_armed_run_is_byte_identical(self):
         """The armed sanitizer checks the run without changing a byte of
         its result."""
-        p2m_sanitizer.disable()
+        p2m_sanitizer.enable(False)
         try:
             plain = build_world(first_touch_request())
         finally:

@@ -1,6 +1,6 @@
 """Property-based tests of the page-event queue and its replay."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.page_queue import (

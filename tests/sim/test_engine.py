@@ -1,11 +1,9 @@
 """The epoch engine: completion, congestion solving, metrics."""
 
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.config import SimConfig
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.sim.engine import CongestionSolver, run_app, run_apps
 from repro.sim.environment import LinuxEnvironment, VmSpec, XenEnvironment

@@ -1,8 +1,6 @@
 """Engine edge cases: empty worlds, boundary finishes, determinism."""
 
-import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.config import SimConfig
@@ -31,9 +29,6 @@ class TestEdges:
     def test_completion_includes_init(self):
         app = fast_app(get_app("swaptions"))
         result = run_apps(LinuxEnvironment(), [app])[0]
-        finish = max(
-            r.epoch for r in result.records
-        )  # epochs are 1 simulated second each
         assert result.completion_seconds >= result.stats["init_seconds"]
         assert result.stats["init_seconds"] >= 0.0
 

@@ -7,12 +7,12 @@ committed verbatim in :mod:`tests.properties.engine_oracle`.
 import numpy as np
 import pytest
 
-from repro.hardware.presets import amd48, small_machine
+from repro.hardware.presets import amd48
 from repro.sim.engine import CongestionSolver, run_world
 from repro.sim.environment import LinuxEnvironment
 from repro.workloads.suite import get_app
 
-from tests.conftest import fast_app
+from tests.conftest import fast_app, small_machine
 from tests.properties.engine_oracle import (
     loop_congestion,
     loop_latency_matrix,

@@ -1,8 +1,5 @@
 """Environment wiring: guest sizing, policy selection, io/sync params."""
 
-import dataclasses
-
-import pytest
 
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.hypervisor.xen import XEN, XEN_PLUS

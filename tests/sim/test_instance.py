@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.config import SimConfig
 from repro.core.policies.base import PolicyName, PolicySpec
 from repro.sim.environment import VmSpec, XenEnvironment
-from repro.sim.instance import (
-    HOT_SUBSET_MIN_PAGES,
-    RuntimeSegment,
-    ThreadCtx,
-)
-from repro.workloads.app import SegmentDef, build_segments
+from repro.sim.instance import HOT_SUBSET_MIN_PAGES, RuntimeSegment
+from repro.workloads.app import SegmentDef
 from repro.workloads.patterns import SegmentSpec
 from repro.workloads.suite import get_app
 

@@ -1,6 +1,5 @@
 """Placement views and their synchronisation with the p2m table."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -16,8 +15,8 @@ class TestSegmentPlacement:
         p.place(2, 3)
         assert p.counts.tolist() == [0, 0, 2, 1]
         assert p.mapped_pages == 3
-        assert p.node_of(0) == 2
-        assert p.node_of(5) is None
+        assert p.nodes[0] == 2
+        assert p.nodes[5] == -1
 
     def test_replace_moves_count(self):
         p = SegmentPlacement(10, 4)
@@ -71,14 +70,14 @@ class TestTrackerWithP2M:
 
         p2m.set_entry(10, 250)  # node 2
         p2m.set_entry(11, 50)  # node 0
-        assert placement.node_of(0) == 2
-        assert placement.node_of(1) == 0
+        assert placement.nodes[0] == 2
+        assert placement.nodes[1] == 0
 
         p2m.invalidate(10)
-        assert placement.node_of(0) is None
+        assert placement.nodes[0] == -1
 
         p2m.set_entry(11, 350)  # migrate-like remap to node 3
-        assert placement.node_of(1) == 3
+        assert placement.nodes[1] == 3
 
     def test_untracked_pages_ignored(self):
         tracker = PlacementTracker(node_of_frame=lambda mfn: 0)
@@ -95,7 +94,7 @@ class TestTrackerWithP2M:
         p2m.set_entry(10, 0)
         tracker.untrack(10)
         p2m.invalidate(10)
-        assert placement.node_of(0) == 1  # stale by design after untrack
+        assert placement.nodes[0] == 1  # stale by design after untrack
 
     def test_migration_remap_updates_view(self):
         tracker = PlacementTracker(node_of_frame=lambda mfn: mfn // 100)
@@ -106,13 +105,4 @@ class TestTrackerWithP2M:
         p2m.set_entry(5, 100)
         p2m.write_protect(5)
         p2m.remap(5, 300)
-        assert placement.node_of(2) == 3
-
-    def test_verify_against(self):
-        placement = SegmentPlacement(3, 4)
-        placement.place(0, 1)
-        placement.place(1, 2)
-        truth = {0: 1, 1: 2, 2: None}
-        assert placement.verify_against(truth.get)
-        truth[1] = 3
-        assert not placement.verify_against(truth.get)
+        assert placement.nodes[2] == 3

@@ -1,6 +1,5 @@
 """The optional TLB dimension wired through the engine (section 7)."""
 
-import pytest
 
 from repro.config import SimConfig
 from repro.core.policies.base import PolicyName, PolicySpec

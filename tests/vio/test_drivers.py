@@ -3,12 +3,11 @@
 import pytest
 
 from repro.config import SimConfig
-from repro.errors import ReproError
 from repro.hardware.iommu import Iommu
 from repro.hypervisor.domain import Domain
-from repro.vio.disk import DiskModel, IoMode
+from repro.vio.disk import DiskModel
 from repro.vio.dma import DmaEngine
-from repro.vio.drivers import ParavirtDriver, PassthroughDriver, make_driver
+from repro.vio.drivers import ParavirtDriver, PassthroughDriver
 
 
 @pytest.fixture
@@ -60,26 +59,3 @@ class TestPassthrough:
         assert (
             pt.read(domain, 1 << 20).seconds < pv.read(domain, 1 << 20).seconds
         )
-
-
-class TestFactory:
-    def test_make_paravirt(self, dom0):
-        driver = make_driver("paravirt", DiskModel(), dom0=dom0)
-        assert isinstance(driver, ParavirtDriver)
-
-    def test_make_passthrough(self):
-        driver = make_driver(
-            "passthrough",
-            DiskModel(),
-            dma=DmaEngine(Iommu()),
-            config=SimConfig(),
-        )
-        assert isinstance(driver, PassthroughDriver)
-
-    def test_missing_parts_rejected(self):
-        with pytest.raises(ReproError):
-            make_driver("paravirt", DiskModel())
-        with pytest.raises(ReproError):
-            make_driver("passthrough", DiskModel())
-        with pytest.raises(ReproError):
-            make_driver("warp", DiskModel())

@@ -9,9 +9,13 @@ from repro.workloads.suite import (
     APP_NAMES,
     APPLICATIONS,
     WRMEM_CHURN,
-    apps_in_class,
     get_app,
 )
+
+
+def apps_in_class(klass):
+    """All applications of one imbalance class ("low"/"moderate"/"high")."""
+    return [app for app in APPLICATIONS if app.imbalance_class == klass]
 
 
 class TestSuite:
